@@ -77,7 +77,11 @@ def percentile(values: Sequence[float], q: float) -> float:
     if low == high or ordered[low] == ordered[high]:
         return ordered[low]
     frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+    lo, hi = ordered[low], ordered[high]
+    # The blend can round past its neighbours (lo=-999233.0,
+    # hi=-999232.0, frac=3e-14 gives -999233.0000000001); clamp it back
+    # between them.  An in-range result is returned unchanged.
+    return min(max(lo * (1.0 - frac) + hi * frac, lo), hi)
 
 
 def shifted_zipf_weights(n: int, shift: float = 0.0, exponent: float = 1.0) -> List[float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.config import DegradationPolicy, TransactionSpec, WorkloadConfig
 from repro.workload.timeline import COMPONENTS
@@ -36,13 +36,12 @@ class AppServer:
         # sustained overload and the current low-priority shed fraction.
         self._overload_ticks = 0
         self.shed_fraction = 0.0
-        # Per-spec component proportions (normalized once).
-        self._proportions: Dict[str, Tuple[float, ...]] = {}
-        for spec in config.transactions:
-            total = spec.total_cpu_ms
-            self._proportions[spec.name] = tuple(
-                spec.cpu_ms.get(name, 0.0) / total for name in COMPONENTS
-            )
+        # Per-type component proportions (normalized once), indexed by
+        # ``Request.type_index``.
+        self._type_proportions: List[Tuple[float, ...]] = [
+            tuple(spec.cpu_ms.get(name, 0.0) / spec.total_cpu_ms for name in COMPONENTS)
+            for spec in config.transactions
+        ]
 
     # ------------------------------------------------------------------
     # Admission
@@ -126,42 +125,77 @@ class AppServer:
 
         Returns ``(completed, io_submissions, cpu_by_component,
         cpu_by_type, used_ms)``.
+
+        This is the SUT's hottest loop: each request step inlines
+        :meth:`Request.consume` and the members it reads, with the same
+        float operations, order and ``min``/``max`` tie-breaking, so the
+        results are bit-identical to stepping through them
+        (``tests/workload/test_driver_appserver.py`` checks this).
         """
         self._fill_pool()
-        cpu_by_component = [0.0] * len(COMPONENTS)
-        cpu_by_type = [0.0] * len(self.config.transactions)
+        proportions = self._type_proportions
+        cpu_by_type = [0.0] * len(proportions)
+        # One accumulator per entry of COMPONENTS, in its order (the
+        # unpacking below fails loudly if COMPONENTS changes length).
+        c0 = c1 = c2 = c3 = c4 = 0.0
         completed: List[Request] = []
         io_submissions: List[Request] = []
         used = 0.0
 
         remaining = capacity_ms
+        running = self.running
         # Processor sharing via repeated equal division: requests that
         # finish (or block on I/O) early return their unused share.
-        while remaining > 1e-9 and self.running:
-            share = remaining / len(self.running)
+        while remaining > 1e-9 and running:
+            share = remaining / len(running)
             still_running: List[Request] = []
             consumed_this_round = 0.0
-            for request in self.running:
-                want = min(share, request.remaining_cpu_ms)
-                budget = request.cpu_until_next_io()
-                if budget is not None:
-                    want = min(want, budget + 1e-12)
+            for request in running:
+                if request.in_io:
+                    raise RuntimeError("request is waiting on I/O")
                 before = request.consumed_cpu_ms
-                hit_io = request.consume(want)
-                delta = request.consumed_cpu_ms - before
-                consumed_this_round += delta
-                proportions = self._proportions[request.spec.name]
-                for i, p in enumerate(proportions):
-                    cpu_by_component[i] += delta * p
-                cpu_by_type[request.type_index] += delta
-                if hit_io:
+                total = request.total_cpu_ms
+                want = total - before
+                if not want > 0.0:
+                    want = 0.0
+                if not want < share:
+                    want = share
+                thresholds = request.io_thresholds
+                next_io = request.next_io
+                if next_io < len(thresholds):
+                    budget = thresholds[next_io] - before
+                    if not budget > 0.0:
+                        budget = 0.0
+                    if budget + 1e-12 < want:
+                        want = budget + 1e-12
+                else:
+                    budget = None
+                if want < 0:
+                    raise ValueError("cannot consume negative CPU")
+                if budget is not None and want >= budget:
+                    after = before + budget
+                    request.next_io = next_io + 1
+                    request.in_io = True
                     io_submissions.append(request)
                     self.io_blocked += 1
-                elif request.done:
-                    completed.append(request)
                 else:
-                    still_running.append(request)
-            self.running = still_running
+                    after = before + want
+                    if budget is None and after >= total:
+                        completed.append(request)
+                    else:
+                        still_running.append(request)
+                request.consumed_cpu_ms = after
+                delta = after - before
+                consumed_this_round += delta
+                type_index = request.type_index
+                p0, p1, p2, p3, p4 = proportions[type_index]
+                c0 += delta * p0
+                c1 += delta * p1
+                c2 += delta * p2
+                c3 += delta * p3
+                c4 += delta * p4
+                cpu_by_type[type_index] += delta
+            self.running = running = still_running
             used += consumed_this_round
             remaining -= consumed_this_round
             # If nothing was consumed this round every runnable request
@@ -170,7 +204,7 @@ class AppServer:
                 break
             self._fill_pool()
 
-        return completed, io_submissions, cpu_by_component, cpu_by_type, used
+        return completed, io_submissions, [c0, c1, c2, c3, c4], cpu_by_type, used
 
     @property
     def in_flight(self) -> int:

@@ -4,7 +4,7 @@ correlation formula."""
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.util.stats import (
     RunningStats,
@@ -90,6 +90,7 @@ class TestPercentile:
             percentile([1.0], 120)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50), st.floats(0, 100))
+    @example(values=[0.0, 0.0, -999232.0, -999233.0], q=1e-12)
     def test_within_range(self, values, q):
         p = percentile(values, q)
         assert min(values) <= p <= max(values)
