@@ -94,10 +94,8 @@ class Scenario:
 def _goodput_between(result: RunResult, t0: float, t1: float) -> float:
     """Successful completions per second inside [t0, t1)."""
     count = sum(
-        1
-        for per_type in result.responses
-        for t, _ in per_type
-        if t0 <= t < t1
+        len(result.responses_between(k, t0, t1))
+        for k in range(len(result.completion_times))
     )
     return count / max(1e-9, t1 - t0)
 

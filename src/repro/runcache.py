@@ -29,7 +29,11 @@ The disk tier is **self-healing**:
 * every read verifies the checksum.  A corrupted, truncated or
   stale-format entry is *quarantined* (moved to
   ``<dir>/quarantine/``) and treated as a miss — the run is simply
-  recomputed, never crashed on;
+  recomputed, never crashed on.  The magic's suffix versions the body:
+  ``repro-runcache/3`` is the columnar ``RunResult`` (typed arrays for
+  the tick timeline and the response log), so an entry written under
+  ``/2`` is rejected by its magic before anything is unpickled into
+  classes whose layout has changed;
 * an unwritable cache directory degrades the cache to the memory tier
   (logged once, counted) instead of raising mid-sweep.
 
@@ -70,7 +74,7 @@ log = logging.getLogger("repro.runcache")
 
 #: Envelope magic for disk-tier entries; bump the suffix on
 #: incompatible change (older entries are quarantined as schema drift).
-CACHE_MAGIC = b"repro-runcache/2\n"
+CACHE_MAGIC = b"repro-runcache/3\n"
 
 #: Where quarantined (corrupt / stale-format) entries are parked,
 #: relative to the cache directory.

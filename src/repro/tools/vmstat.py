@@ -43,31 +43,34 @@ class VmstatReport:
     def _build(self) -> List[VmstatRow]:
         timeline = self.result.timeline
         per_row = max(1, int(round(self.interval_s / timeline.tick_s)))
+        n = len(COMPONENTS)
         kernel_index = COMPONENTS.index("kernel")
         capacity = timeline.capacity_ms_per_tick
+        cpu = timeline.cpu_ms_by_component
         rows: List[VmstatRow] = []
-        records = timeline.records
-        for start in range(0, len(records) - per_row + 1, per_row):
-            chunk = records[start : start + per_row]
-            cap = capacity * len(chunk)
-            kernel = sum(r.cpu_ms_by_component[kernel_index] for r in chunk)
-            busy = sum(r.busy_ms for r in chunk)
+        for start in range(0, len(timeline) - per_row + 1, per_row):
+            end = start + per_row
+            cap = capacity * per_row
+            kernel = sum(cpu[start * n + kernel_index : end * n : n])
+            busy = sum(timeline.busy_ms(start, end))
             user = busy - kernel
-            idle = sum(r.idle_ms for r in chunk)
+            idle_ms = timeline.idle_ms[start:end]
+            io_waiting = timeline.io_waiting[start:end]
+            idle = sum(idle_ms)
             # Idle time while disk requests are outstanding is I/O wait
             # — the distinction the paper's disk experiments hinge on.
-            iowait = sum(r.idle_ms for r in chunk if r.io_waiting > 0)
+            iowait = sum(ms for ms, io in zip(idle_ms, io_waiting) if io > 0)
             idle -= iowait
             rows.append(
                 VmstatRow(
-                    time_s=chunk[0].index * timeline.tick_s,
+                    time_s=start * timeline.tick_s,
                     user_pct=100.0 * user / cap,
                     system_pct=100.0 * kernel / cap,
                     idle_pct=100.0 * max(0.0, idle) / cap,
                     iowait_pct=100.0 * iowait / cap,
-                    run_queue=sum(r.queue_length for r in chunk) / len(chunk),
-                    io_queue=sum(r.io_waiting for r in chunk) / len(chunk),
-                    heap_used_mb=chunk[-1].heap_used_bytes / MB,
+                    run_queue=sum(timeline.queue_length[start:end]) / per_row,
+                    io_queue=sum(io_waiting) / per_row,
+                    heap_used_mb=timeline.heap_used_bytes[end - 1] / MB,
                 )
             )
         return rows
@@ -76,16 +79,23 @@ class VmstatReport:
         t0, t1 = self.result.steady_window()
         return [r for r in self.rows if t0 <= r.time_s < t1]
 
-    def mean_user_pct(self) -> float:
+    def _mean_rows(self) -> List[VmstatRow]:
+        """The steady-state rows, or every row if none is steady."""
         rows = self.steady_rows() or self.rows
+        if not rows:
+            raise ValueError("run is shorter than one vmstat interval")
+        return rows
+
+    def mean_user_pct(self) -> float:
+        rows = self._mean_rows()
         return sum(r.user_pct for r in rows) / len(rows)
 
     def mean_system_pct(self) -> float:
-        rows = self.steady_rows() or self.rows
+        rows = self._mean_rows()
         return sum(r.system_pct for r in rows) / len(rows)
 
     def mean_iowait_pct(self) -> float:
-        rows = self.steady_rows() or self.rows
+        rows = self._mean_rows()
         return sum(r.iowait_pct for r in rows) / len(rows)
 
     def render_lines(self, limit: int = 20) -> List[str]:

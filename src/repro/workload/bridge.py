@@ -126,7 +126,7 @@ class WorkloadPhaseSchedule:
 
     def tick_for_window(self, window_index: int) -> int:
         tick = self._start_tick + window_index * self._stride
-        n = len(self.result.timeline.records)
+        n = len(self.result.timeline)
         if tick >= n:
             # Wrap within the steady region rather than fall off the run.
             t0, t1 = self.result.steady_window()
@@ -136,10 +136,21 @@ class WorkloadPhaseSchedule:
         return tick
 
     def descriptor_for(self, window_index: int) -> PhaseDescriptor:
-        record = self.result.timeline.records[self.tick_for_window(window_index)]
+        timeline = self.result.timeline
+        # Indexing a range gives list semantics to a negative tick.
+        tick = range(len(timeline))[self.tick_for_window(window_index)]
+        n_types = len(self._specs)
+        n_components = len(COMPONENTS)
+        by_component = timeline.cpu_ms_by_component[
+            tick * n_components : (tick + 1) * n_components
+        ]
+        gc_ms = timeline.gc_ms[tick]
 
         intensity = MutatorIntensity.blend(
-            zip(self._intensities, record.cpu_ms_by_type)
+            zip(
+                self._intensities,
+                timeline.cpu_ms_by_type[tick * n_types : (tick + 1) * n_types],
+            )
         )
         profiles = mutator_profiles(
             self.registry,
@@ -152,13 +163,12 @@ class WorkloadPhaseSchedule:
 
         compiled = 1.0
         if self.jit is not None:
-            tick = self.tick_for_window(window_index)
-            now_s = tick * self.result.timeline.tick_s
+            now_s = self.tick_for_window(window_index) * timeline.tick_s
             compiled = self.jit.compiled_weight_fraction(now_s)
 
         weights = []
         for name in ("web", "was_jited", "was_nonjited", "db2"):
-            ms = record.cpu_ms_by_component[self._component_index[name]]
+            ms = by_component[self._component_index[name]]
             if ms <= 0:
                 continue
             if name == "was_jited" and compiled < 1.0:
@@ -172,19 +182,19 @@ class WorkloadPhaseSchedule:
             else:
                 weights.append((profiles[name], ms))
         if self.include_kernel:
-            kernel_ms = record.cpu_ms_by_component[self._component_index["kernel"]]
+            kernel_ms = by_component[self._component_index["kernel"]]
             if kernel_ms > 0:
                 weights.append((self._kernel, kernel_ms))
-        if record.gc_ms > 0:
-            weights.append((self._gc_mark, record.gc_ms * GC_MARK_SHARE))
-            weights.append((self._gc_sweep, record.gc_ms * (1.0 - GC_MARK_SHARE)))
+        if gc_ms > 0:
+            weights.append((self._gc_mark, gc_ms * GC_MARK_SHARE))
+            weights.append((self._gc_sweep, gc_ms * (1.0 - GC_MARK_SHARE)))
 
         total = sum(w for _, w in weights)
         if total <= 0.0:
             return PhaseDescriptor(
                 slices=((self._idle, 1.0),), gc_fraction=0.0, label="idle"
             )
-        gc_fraction = record.gc_ms / total
+        gc_fraction = gc_ms / total
         slices = tuple((profile, w / total) for profile, w in weights)
         label = "gc" if gc_fraction > 0.5 else "mutator"
         return PhaseDescriptor(slices=slices, gc_fraction=gc_fraction, label=label)

@@ -200,8 +200,8 @@ def goodput_series(
     cfg = result.config.workload
     n_buckets = max(1, int(round(cfg.duration_s / bucket_s)))
     counts = [0] * n_buckets
-    for per_type in result.responses:
-        for t, _ in per_type:
+    for times in result.completion_times:
+        for t in times:
             idx = min(n_buckets - 1, int(t / bucket_s))
             counts[idx] += 1
     times = [(i + 0.5) * bucket_s for i in range(n_buckets)]
@@ -215,9 +215,10 @@ def evaluate_resilience(result: RunResult) -> ResilienceReport:
         raise ValueError("run carries no resilience stats")
     t0, t1 = result.steady_window()
     steady_s = max(1e-9, t1 - t0)
-    successful = sum(len(per_type) for per_type in result.responses)
+    successful = sum(len(times) for times in result.completion_times)
     steady_ok = sum(
-        len(result.steady_responses(k)) for k in range(len(result.responses))
+        len(result.responses_between(k, t0, t1))
+        for k in range(len(result.completion_times))
     )
     offered = stats.total_offered
     return ResilienceReport(

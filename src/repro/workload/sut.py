@@ -24,6 +24,8 @@ bit-identical to the pre-fault simulator.
 from __future__ import annotations
 
 import time
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
@@ -45,7 +47,7 @@ from repro.workload.faults import (
     ResilienceStats,
     ResilienceTracker,
 )
-from repro.workload.timeline import COMPONENTS, RunTimeline, TickRecord
+from repro.workload.timeline import COMPONENTS, RunTimeline
 from repro.workload.transactions import Request
 from repro.workload.webserver import WebServer
 
@@ -65,8 +67,11 @@ class RunResult:
     config: ExperimentConfig
     timeline: RunTimeline
     gc_events: List[GcEvent]
-    #: Per transaction type: list of (completion time, response seconds).
-    responses: List[List[Tuple[float, float]]]
+    #: Per transaction type: completion times (s), nondecreasing.
+    completion_times: List[array]
+    #: Per transaction type: response seconds, aligned with
+    #: ``completion_times``.
+    response_times: List[array]
     #: Per transaction type: operations rejected by admission control.
     rejected: List[int]
     db_hit_ratio: float
@@ -82,9 +87,27 @@ class RunResult:
         cfg = self.config.workload
         return cfg.ramp_up_s, cfg.duration_s - cfg.ramp_down_s
 
+    @property
+    def responses(self) -> List[List[Tuple[float, float]]]:
+        """Per type, ``(completion time, response seconds)`` pairs.
+
+        A read-only view built on demand for tests, examples and
+        digests; the package reads the columns.
+        """
+        return [
+            list(zip(times, rts))
+            for times, rts in zip(self.completion_times, self.response_times)
+        ]
+
+    def responses_between(self, type_index: int, t0: float, t1: float) -> array:
+        """Response seconds of the type's completions in ``[t0, t1)``."""
+        times = self.completion_times[type_index]
+        return self.response_times[type_index][
+            bisect_left(times, t0) : bisect_left(times, t1)
+        ]
+
     def steady_responses(self, type_index: int) -> List[float]:
-        t0, t1 = self.steady_window()
-        return [rt for t, rt in self.responses[type_index] if t0 <= t < t1]
+        return self.responses_between(type_index, *self.steady_window()).tolist()
 
 
 class SystemUnderTest:
@@ -140,7 +163,8 @@ class SystemUnderTest:
 
         timeline = RunTimeline(tick_s, [s.name for s in specs], n_cores)
         gc_events: List[GcEvent] = []
-        responses: List[List[Tuple[float, float]]] = [[] for _ in specs]
+        completion_times = [array("d") for _ in specs]
+        response_times = [array("d") for _ in specs]
         rejected: List[int] = [0 for _ in specs]
         tracker = ResilienceTracker(len(specs))
         #: Per type: (client deadline, request), in admission order.
@@ -297,6 +321,7 @@ class SystemUnderTest:
                 appserver.resume(request)
 
             # --- Completions -------------------------------------------------
+            done_s = now + tick_s
             completions = [0] * len(specs)
             for request in completed:
                 if resilience_active:
@@ -307,25 +332,24 @@ class SystemUnderTest:
                         # client-visible throughput.
                         tracker.zombie_completions += 1
                         continue
-                completions[request.type_index] += 1
-                rt = request.response_time_s(now + tick_s)
+                type_index = request.type_index
+                completions[type_index] += 1
+                rt = request.response_time_s(done_s)
                 rt += webserver.response_overhead_s(request.spec)
-                responses[request.type_index].append((now + tick_s, rt))
+                completion_times[type_index].append(done_s)
+                response_times[type_index].append(rt)
 
             idle_ms = max(0.0, capacity_ms - used_ms - gc_cpu_ms)
-            timeline.append(
-                TickRecord(
-                    index=tick_index,
-                    arrivals=tuple(arrivals),
-                    completions=tuple(completions),
-                    cpu_ms_by_component=tuple(by_component),
-                    cpu_ms_by_type=tuple(by_type),
-                    gc_ms=gc_cpu_ms,
-                    idle_ms=idle_ms,
-                    io_waiting=disk.queue_length,
-                    heap_used_bytes=heap.used_bytes,
-                    queue_length=appserver.in_flight,
-                )
+            timeline.record_tick(
+                arrivals,
+                completions,
+                by_component,
+                by_type,
+                gc_cpu_ms,
+                idle_ms,
+                disk.queue_length,
+                heap.used_bytes,
+                appserver.in_flight,
             )
             if obs is not None:
                 heap_gauge.set(heap.used_bytes)
@@ -336,7 +360,8 @@ class SystemUnderTest:
             config=self.config,
             timeline=timeline,
             gc_events=gc_events,
-            responses=responses,
+            completion_times=completion_times,
+            response_times=response_times,
             rejected=rejected,
             db_hit_ratio=database.observed_hit_ratio,
             disk_utilization=disk.utilization(n_ticks),
@@ -364,11 +389,11 @@ def _record_run_observability(obs, result: RunResult, wall_s: float) -> None:
     for type_index, spec in enumerate(cfg.transactions):
         labels = {"type": spec.name}
         metrics.counter("sut.completions", labels).inc(
-            len(result.responses[type_index])
+            len(result.completion_times[type_index])
         )
         metrics.counter("sut.rejected", labels).inc(result.rejected[type_index])
         response_hist = metrics.histogram("sut.response_s", labels)
-        for _, response_s in result.responses[type_index]:
+        for response_s in result.response_times[type_index]:
             response_hist.observe(response_s)
 
     tracer = obs.tracer

@@ -1,22 +1,32 @@
 """Per-tick run records and aggregation helpers.
 
-The tick record is deliberately flat (tuples of floats, fixed component
-order) because a one-hour run at 0.1 s ticks produces 36,000 of them.
+The timeline is stored column by column: one typed :class:`array.array`
+per field, with the per-type and per-component fields flattened
+tick-major (tick ``i``, type ``k`` sits at ``i * n_types + k``).  A
+one-hour run at 0.1 s ticks produces 36,000 ticks; as columns they cost
+a machine word per value, pickle as flat bytes and give the cyclic
+garbage collector nothing to walk.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 #: Software components tracked by the CPU accounting, in Figure 4's
 #: breakdown.  GC and idle time are tracked separately.
 COMPONENTS: Tuple[str, ...] = ("web", "was_jited", "was_nonjited", "db2", "kernel")
+_N_COMPONENTS = len(COMPONENTS)
 
 
 @dataclass(frozen=True)
 class TickRecord:
-    """Everything measured during one simulation tick."""
+    """Everything measured during one simulation tick.
+
+    The element type of :attr:`RunTimeline.records`, a view built on
+    demand from the columns.
+    """
 
     index: int
     arrivals: Tuple[int, ...]
@@ -35,7 +45,7 @@ class TickRecord:
 
 
 class RunTimeline:
-    """The full sequence of tick records for one run."""
+    """The per-tick measurements of one run, one typed column per field."""
 
     def __init__(self, tick_s: float, tx_names: Sequence[str], n_cores: int):
         if tick_s <= 0:
@@ -43,42 +53,103 @@ class RunTimeline:
         self.tick_s = tick_s
         self.tx_names = tuple(tx_names)
         self.n_cores = n_cores
-        self.records: List[TickRecord] = []
+        #: Per tick and transaction type, tick-major: first attempts
+        #: arrived and client-visible completions.
+        self.arrivals = array("q")
+        self.completions = array("q")
+        #: Per tick and component (:data:`COMPONENTS` order), tick-major.
+        self.cpu_ms_by_component = array("d")
+        #: Per tick and transaction type, tick-major.
+        self.cpu_ms_by_type = array("d")
+        #: One value per tick.
+        self.gc_ms = array("d")
+        self.idle_ms = array("d")
+        self.io_waiting = array("q")
+        self.heap_used_bytes = array("q")
+        self.queue_length = array("q")
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def append(self, record: TickRecord) -> None:
-        if record.index != len(self.records):
-            raise ValueError(
-                f"out-of-order tick {record.index}, expected {len(self.records)}"
-            )
-        self.records.append(record)
+    def record_tick(
+        self,
+        arrivals: Sequence[int],
+        completions: Sequence[int],
+        cpu_ms_by_component: Sequence[float],
+        cpu_ms_by_type: Sequence[float],
+        gc_ms: float,
+        idle_ms: float,
+        io_waiting: int,
+        heap_used_bytes: int,
+        queue_length: int,
+    ) -> None:
+        """Append the next tick; its index is its position."""
+        self.arrivals.extend(arrivals)
+        self.completions.extend(completions)
+        self.cpu_ms_by_component.extend(cpu_ms_by_component)
+        self.cpu_ms_by_type.extend(cpu_ms_by_type)
+        self.gc_ms.append(gc_ms)
+        self.idle_ms.append(idle_ms)
+        self.io_waiting.append(io_waiting)
+        self.heap_used_bytes.append(heap_used_bytes)
+        self.queue_length.append(queue_length)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.gc_ms)
 
     @property
     def duration_s(self) -> float:
-        return len(self.records) * self.tick_s
+        return len(self) * self.tick_s
 
     @property
     def capacity_ms_per_tick(self) -> float:
         return self.n_cores * self.tick_s * 1000.0
 
-    def tick_at(self, t_s: float) -> TickRecord:
-        idx = int(t_s / self.tick_s)
-        if idx < 0 or idx >= len(self.records):
-            raise ValueError(f"time {t_s} outside run")
-        return self.records[idx]
+    @property
+    def records(self) -> List[TickRecord]:
+        """One :class:`TickRecord` per tick, as a fresh list.
+
+        A read-only view for tests, examples and digests; the
+        aggregations below read the columns.
+        """
+        t = len(self.tx_names)
+        c = _N_COMPONENTS
+        return [
+            TickRecord(
+                index=i,
+                arrivals=tuple(self.arrivals[i * t : i * t + t]),
+                completions=tuple(self.completions[i * t : i * t + t]),
+                cpu_ms_by_component=tuple(self.cpu_ms_by_component[i * c : i * c + c]),
+                cpu_ms_by_type=tuple(self.cpu_ms_by_type[i * t : i * t + t]),
+                gc_ms=self.gc_ms[i],
+                idle_ms=self.idle_ms[i],
+                io_waiting=self.io_waiting[i],
+                heap_used_bytes=self.heap_used_bytes[i],
+                queue_length=self.queue_length[i],
+            )
+            for i in range(len(self))
+        ]
 
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def _slice(self, t_from: float, t_to: float) -> List[TickRecord]:
+    def _bounds(self, t_from: float, t_to: float) -> Tuple[int, int]:
+        """Tick range ``[i0, i1)`` of a window, clipped to the run.
+
+        The ticks are a list slice of the run's ticks, so a negative
+        end tick counts from the end of the run.
+        """
         i0 = max(0, int(t_from / self.tick_s))
-        i1 = min(len(self.records), int(t_to / self.tick_s))
-        return self.records[i0:i1]
+        i1 = int(min(t_to, self.duration_s) / self.tick_s)
+        ticks = range(len(self))[i0:i1]
+        return ticks.start, ticks.start + len(ticks)
+
+    def busy_ms(self, i0: int, i1: int) -> List[float]:
+        """Busy CPU ms (component CPU plus GC) of each tick in ``[i0, i1)``."""
+        cpu = self.cpu_ms_by_component
+        gc = self.gc_ms
+        n = _N_COMPONENTS
+        return [sum(cpu[i * n : (i + 1) * n]) + gc[i] for i in range(i0, i1)]
 
     def throughput_series(
         self, bucket_s: float = 1.0, t_from: float = 0.0, t_to: float = float("inf")
@@ -88,37 +159,26 @@ class RunTimeline:
         Returns ``(bucket_times, series)`` where ``series[k]`` is the
         ops/s series of transaction type ``k`` — Figure 2's four lines.
         """
-        records = self._slice(t_from, min(t_to, self.duration_s))
+        i0, i1 = self._bounds(t_from, t_to)
         per_bucket = max(1, int(round(bucket_s / self.tick_s)))
+        n_types = len(self.tx_names)
+        span = per_bucket * self.tick_s
         times: List[float] = []
         series: List[List[float]] = [[] for _ in self.tx_names]
-        for start in range(0, len(records) - per_bucket + 1, per_bucket):
-            chunk = records[start : start + per_bucket]
-            times.append(chunk[0].index * self.tick_s + bucket_s / 2.0)
-            span = per_bucket * self.tick_s
-            for k in range(len(self.tx_names)):
-                total = sum(r.completions[k] for r in chunk)
+        for start in range(i0, i1 - per_bucket + 1, per_bucket):
+            times.append(start * self.tick_s + bucket_s / 2.0)
+            lo, hi = start * n_types, (start + per_bucket) * n_types
+            for k in range(n_types):
+                total = sum(self.completions[lo + k : hi : n_types])
                 series[k].append(total / span)
         return times, series
 
-    def utilization_series(self, bucket_s: float = 1.0) -> Tuple[List[float], List[float]]:
-        """Per-bucket CPU utilization (busy / capacity)."""
-        per_bucket = max(1, int(round(bucket_s / self.tick_s)))
-        times: List[float] = []
-        values: List[float] = []
-        cap = self.capacity_ms_per_tick * per_bucket
-        for start in range(0, len(self.records) - per_bucket + 1, per_bucket):
-            chunk = self.records[start : start + per_bucket]
-            times.append(chunk[0].index * self.tick_s + bucket_s / 2.0)
-            values.append(sum(r.busy_ms for r in chunk) / cap)
-        return times, values
-
     def mean_utilization(self, t_from: float = 0.0, t_to: float = float("inf")) -> float:
-        records = self._slice(t_from, min(t_to, self.duration_s))
-        if not records:
+        i0, i1 = self._bounds(t_from, t_to)
+        if i0 == i1:
             raise ValueError("empty window")
-        busy = sum(r.busy_ms for r in records)
-        return busy / (self.capacity_ms_per_tick * len(records))
+        busy = sum(self.busy_ms(i0, i1))
+        return busy / (self.capacity_ms_per_tick * (i1 - i0))
 
     def component_shares(
         self, t_from: float = 0.0, t_to: float = float("inf")
@@ -128,15 +188,19 @@ class RunTimeline:
         This is the Figure 4 breakdown when measured over the last five
         minutes of the run.
         """
-        records = self._slice(t_from, min(t_to, self.duration_s))
-        if not records:
+        i0, i1 = self._bounds(t_from, t_to)
+        if i0 == i1:
             raise ValueError("empty window")
-        totals = {name: 0.0 for name in COMPONENTS}
+        n = _N_COMPONENTS
+        totals = {}
+        for c, name in enumerate(COMPONENTS):
+            total = 0.0
+            for ms in self.cpu_ms_by_component[i0 * n + c : i1 * n : n]:
+                total += ms
+            totals[name] = total
         gc_total = 0.0
-        for r in records:
-            for name, ms in zip(COMPONENTS, r.cpu_ms_by_component):
-                totals[name] += ms
-            gc_total += r.gc_ms
+        for ms in self.gc_ms[i0:i1]:
+            gc_total += ms
         busy = sum(totals.values()) + gc_total
         if busy <= 0:
             raise ValueError("no busy time in window")
@@ -147,10 +211,7 @@ class RunTimeline:
     def heap_series(self, bucket_s: float = 1.0) -> Tuple[List[float], List[float]]:
         """Heap used (bytes) at bucket boundaries."""
         per_bucket = max(1, int(round(bucket_s / self.tick_s)))
-        times: List[float] = []
-        values: List[float] = []
-        for start in range(0, len(self.records), per_bucket):
-            r = self.records[start]
-            times.append(r.index * self.tick_s)
-            values.append(float(r.heap_used_bytes))
+        ticks = range(0, len(self), per_bucket)
+        times = [i * self.tick_s for i in ticks]
+        values = [float(self.heap_used_bytes[i]) for i in ticks]
         return times, values

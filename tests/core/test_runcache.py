@@ -15,6 +15,7 @@ from repro.runcache import (
     cache_dir_stats,
     config_key,
     decode_entry,
+    encode_blob,
     encode_entry,
     gc_cache_dir,
     verify_cache_dir,
@@ -220,6 +221,33 @@ class TestSelfHealing:
         cache.get_or_run(cfg)
         assert cache.stats.quarantined == 1
         assert (tmp_path / QUARANTINE_DIRNAME / f"{key}.pkl").exists()
+
+    def test_previous_format_quarantined_not_unpickled(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        key = config_key(cfg)
+        result = SystemUnderTest(cfg).run()
+        # A sound entry of the previous body format: valid envelope and
+        # checksum, only the magic's version suffix differs.
+        body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        entry = tmp_path / f"{key}.pkl"
+        entry.write_bytes(encode_blob(body, b"repro-runcache/2\n"))
+        unpickled = []
+        real_loads = pickle.loads
+        monkeypatch.setattr(
+            pickle, "loads", lambda data: unpickled.append(data) or real_loads(data)
+        )
+
+        cache = RunCache(disk_dir=tmp_path)
+        healed = cache.get_or_run(cfg)
+        assert unpickled == []
+        assert cache.stats.quarantined == 1
+        assert cache.stats.disk_hits == 0
+        assert cache.stats.misses == 1
+        assert_bit_identical(healed, result)
+        assert (tmp_path / QUARANTINE_DIRNAME / entry.name).exists()
+        # The recompute re-stored the entry under the current magic.
+        assert entry.read_bytes().startswith(CACHE_MAGIC)
+        verify_entry_bytes(entry.read_bytes())
 
     def test_unwritable_disk_dir_fails_soft(self, tmp_path):
         # Point disk_dir *under a file* so mkdir/replace must fail —

@@ -69,6 +69,21 @@ class TestVmstat:
         assert len(lines) == 6
 
 
+    def test_run_shorter_than_one_interval_raises_value_error(self):
+        from repro.workload.presets import jas2004
+        from repro.workload.sut import SystemUnderTest
+
+        report = VmstatReport(SystemUnderTest(jas2004(duration_s=4.0, seed=1)).run())
+        assert report.rows == []
+        for mean in (
+            report.mean_user_pct,
+            report.mean_system_pct,
+            report.mean_iowait_pct,
+        ):
+            with pytest.raises(ValueError, match="shorter than one vmstat interval"):
+                mean()
+
+
 class TestTprof:
     @pytest.fixture(scope="class")
     def tprof(self, quick_run, quick_registry, quick_config):

@@ -6,7 +6,9 @@ Each case runs a short (120 s virtual) simulation and hashes the
 change to any float the loop produces — a speed-only change to the
 scheduler, the database, the driver or the tick loop must leave every
 digest here untouched.  The cases cover the fault-free loop and every
-resilience path the single-server SUT has.
+resilience path the single-server SUT has.  Each case is checked as
+simulated and after a round trip through the run cache's disk-entry
+encoding, so the stored form loses nothing either.
 
 After an intentional behaviour change, print the new digests with::
 
@@ -16,6 +18,7 @@ After an intentional behaviour change, print the new digests with::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 
 import pytest
@@ -27,6 +30,7 @@ from repro.config import (
     FaultEvent,
     RetryPolicy,
 )
+from repro.runcache import decode_entry, encode_entry
 from repro.workload.presets import jas2004
 from repro.workload.sut import RunResult, SystemUnderTest
 
@@ -112,9 +116,21 @@ def run_digest(result: RunResult) -> str:
     return digest.hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def golden_run(case: str) -> RunResult:
+    """The case's run, simulated once per test session (read-only)."""
+    return SystemUnderTest(CASES[case]()).run()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_is_bit_identical(case):
-    assert run_digest(SystemUnderTest(CASES[case]()).run()) == GOLDEN[case]
+    assert run_digest(golden_run(case)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_disk_tier_round_trip_is_bit_identical(case):
+    result = decode_entry(encode_entry(golden_run(case)))
+    assert run_digest(result) == GOLDEN[case]
 
 
 if __name__ == "__main__":
