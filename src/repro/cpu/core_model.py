@@ -20,7 +20,7 @@ from repro.cpu.branch import BranchUnit
 from repro.cpu.hierarchy import MemorySystem
 from repro.cpu.phases import PhaseDescriptor
 from repro.cpu.regions import AddressSpace
-from repro.cpu.stream import SliceRunner
+from repro.cpu.stream import KernelTables, SliceRunner
 from repro.cpu.pipeline import PipelineAccountant
 from repro.cpu.translation import TranslationUnit
 from repro.hpm.counters import CounterBank, CounterSnapshot
@@ -80,6 +80,8 @@ class CoreModel:
         self.memory = self.memory_system_cls(machine, self._bank, self._rng_backing)
         self.translation = self.translation_unit_cls(machine.translation)
         self.branches = self.branch_unit_cls(machine.branch)
+        # The fused kernel's region tables, shared by every slice.
+        self._kernel_tables = KernelTables(space, machine.latencies)
         self.windows_executed = 0
 
     def execute_window(self, window_index: int) -> CounterSnapshot:
@@ -102,6 +104,7 @@ class CoreModel:
                 accountant=accountant,
                 counters=self._bank,
                 rng=self._rng_stream,
+                tables=self._kernel_tables,
             )
             runner.run_until(target)
         accountant.finalize(self._bank)

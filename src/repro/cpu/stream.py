@@ -31,12 +31,18 @@ one function body operating on locally-bound state:
 
 * cache probes run directly against the way lists of
   :class:`repro.cpu.cache.SetAssociativeCache` (index 0 = victim, last
-  = MRU — the documented kernel layout);
-* counters are incremented by precomputed slot index into the bound
-  ``CounterBank.data`` list;
-* cycle/dispatch accumulators and cache hit/miss statistics live in
-  locals for the duration of the call and are flushed back to the
-  accountant and cache objects on exit.
+  = MRU — the documented kernel layout), and the stream prefetcher's
+  detector runs directly on its dicts;
+* everything fixed for a region (bounds, draw widths, page flags, the
+  backing distribution as cumulative thresholds with each source's
+  counter slot and penalty) comes from :class:`KernelTables`, built
+  once per core; a slice adds only its scan threshold and dwell span;
+* weighted draws (region, active unit, data and instruction source)
+  run through C ``bisect_right``;
+* cycle/dispatch accumulators, cache hit/miss statistics and every
+  counter that duplicates one of them live in locals for the duration
+  of the call and are flushed back to the accountant, the caches and
+  ``CounterBank.data`` on exit; the rest are incremented by slot index.
 
 The float additions into the accountant's ``cycles`` happen in exactly
 the order the un-inlined implementation performs them, and the RNG is
@@ -49,9 +55,11 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from math import log as _log
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.config import PipelineLatencies
 from repro.cpu.branch import BranchUnit
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.hierarchy import MemorySystem
@@ -102,9 +110,6 @@ _BR_CMPL = EVENT_INDEX[Event.PM_BR_CMPL]
 _BR_MPRED_CR = EVENT_INDEX[Event.PM_BR_MPRED_CR]
 _BR_INDIRECT = EVENT_INDEX[Event.PM_BR_INDIRECT]
 _BR_MPRED_TA = EVENT_INDEX[Event.PM_BR_MPRED_TA]
-# Source enum -> counter slot (folds the .event property lookup).
-_DATA_SLOT = {src: EVENT_INDEX[src.event] for src in DataSource}
-_INST_SLOT = {src: EVENT_INDEX[src.event] for src in InstSource}
 
 # Method names whose presence in an instance __dict__ means the object
 # has been instance-patched (e.g. a test spy) — the fused kernel would
@@ -114,6 +119,7 @@ _PATCHED_TRANSLATION_METHODS = frozenset(
     {"translate_data", "translate_inst", "translate_data_code", "translate_inst_code"}
 )
 _PATCHED_BRANCH_METHODS = frozenset({"conditional", "indirect"})
+_PATCHED_PREFETCH_METHODS = frozenset({"cover", "on_miss"})
 _PATCHED_ACCT_METHODS = frozenset(
     {
         "add_instructions",
@@ -130,15 +136,84 @@ _PATCHED_ACCT_METHODS = frozenset(
     }
 )
 
+T = TypeVar("T")
 
-def _weighted_cum(pairs: List[Tuple[Region, float]]) -> Tuple[List[Region], List[float]]:
-    regions = [r for r, _ in pairs]
+
+def _weighted_cum(pairs: Sequence[Tuple[T, float]]) -> Tuple[List[T], List[float]]:
+    items = [x for x, _ in pairs]
     cum: List[float] = []
     acc = 0.0
     for _, w in pairs:
         acc += w
         cum.append(acc)
-    return regions, cum
+    return items, cum
+
+
+class KernelTables:
+    """Per-region constants of the fused kernel, built once per core.
+
+    One row per region of ``space``, with the penalties of ``lat``
+    folded in.  A backing distribution becomes cumulative thresholds,
+    accumulated with the same ``acc += p`` as :meth:`Region.pick_source`,
+    so ``bisect_right`` over them returns the source that method would;
+    each entry carries what a draw of it charges.  A
+    :class:`SliceRunner` only reads tables built for its own address
+    space and latency table objects, so no row is ever read for
+    another layout.
+    """
+
+    def __init__(self, space: AddressSpace, lat: PipelineLatencies):
+        self.space = space
+        self.lat = lat
+        # Exposed penalty per source, mirroring the if-chains of
+        # PipelineAccountant.charge_load and charge_fetch.
+        load_pen = {
+            DataSource.L2: lat.data_from_l2,
+            DataSource.L25_SHR: lat.data_from_l25,
+            DataSource.L25_MOD: lat.data_from_l25,
+            DataSource.L275_SHR: lat.data_from_l275,
+            DataSource.L275_MOD: lat.data_from_l275,
+            DataSource.L3: lat.data_from_l3,
+            DataSource.L35: lat.data_from_l35,
+            DataSource.MEM: lat.data_from_mem,
+        }
+        inst_pen = {
+            InstSource.L1: 0.0,
+            InstSource.L2: lat.inst_from_l2,
+            InstSource.L3: lat.inst_from_l3,
+            InstSource.MEM: lat.inst_from_mem,
+        }
+        #: name -> (name, base, end, size_bytes, its bit length, n_pages,
+        #: its bit length, page_bytes, TLB large-page flag, region,
+        #: backing thresholds, backing entries, last entry index); an
+        #: entry is (counter slot, penalty, is L2, objprof slot).
+        self.data: Dict[str, tuple] = {}
+        #: name -> (page_bytes, TLB large-page flag, inst thresholds,
+        #: inst entries, last entry index); an entry is (slot, penalty).
+        self.inst: Dict[str, tuple] = {}
+        for name in space.names():
+            r = space[name]
+            size = r.size_bytes
+            n_pages = r.n_pages
+            flag = 1 if r.page_bytes > 4096 else 0
+            sources, cum = _weighted_cum(r.backing)
+            entries = tuple(
+                (
+                    EVENT_INDEX[s.event],
+                    load_pen[s],
+                    s is DataSource.L2,
+                    _objprof.SLOT_OF_SOURCE[s],
+                )
+                for s in sources
+            )
+            self.data[name] = (
+                name, r.base, r.end, size, size.bit_length(), n_pages,
+                n_pages.bit_length(), r.page_bytes, flag, r, cum, entries,
+                len(cum) - 1,
+            )
+            sources, cum = _weighted_cum(r.inst_backing)
+            entries = tuple((EVENT_INDEX[s.event], inst_pen[s]) for s in sources)
+            self.inst[name] = (r.page_bytes, flag, cum, entries, len(cum) - 1)
 
 
 class SliceRunner:
@@ -154,6 +229,7 @@ class SliceRunner:
         accountant: PipelineAccountant,
         counters: CounterBank,
         rng: random.Random,
+        tables: Optional[KernelTables] = None,
     ):
         self.profile = profile
         self.memory = memory
@@ -169,6 +245,23 @@ class SliceRunner:
         )
         self._store_regions, self._store_cum = _weighted_cum(
             [(space[name], w) for name, w in profile.store_mix]
+        )
+        for region in self._load_regions:
+            if not region.backing:
+                raise ValueError(
+                    f"profile {profile.name!r}: load-mix region "
+                    f"{region.name!r} has an empty backing distribution"
+                )
+        if not self._code_region.inst_backing:
+            raise ValueError(
+                f"profile {profile.name!r}: code region "
+                f"{self._code_region.name!r} has an empty inst_backing"
+            )
+        # The fused kernel reads regions through the tables, never
+        # through their methods, so only stock regions may be fused.
+        self._stock_regions = all(
+            type(r) is Region
+            for r in (self._code_region, *self._load_regions, *self._store_regions)
         )
 
         active = profile.code_pool.sample_active(rng, profile.active_units)
@@ -190,6 +283,46 @@ class SliceRunner:
         self._seq_ptr: Dict[str, int] = {}
         self._dwell_p = 1.0 - 1.0 / max(1.0, profile.page_dwell)
         self._dwell_override = profile.dwell_span_override
+
+        # The fused kernel's rows: the core's region row behind this
+        # profile's two values for it (see _mix_rows).
+        lat = accountant.lat
+        if tables is None or tables.space is not space or tables.lat is not lat:
+            tables = KernelTables(space, lat)
+        self._load_rows = self._mix_rows(
+            tables, self._load_regions, True, profile.seq_load_fraction,
+            SEQ_LOAD_STEP,
+        )
+        self._store_rows = self._mix_rows(
+            tables, self._store_regions, False, profile.seq_store_fraction,
+            SEQ_STORE_STEP,
+        )
+        self._inst_row = tables.inst[self._code_region.name]
+
+    def _mix_rows(
+        self,
+        tables: KernelTables,
+        regions: List[Region],
+        is_load: bool,
+        seq_fraction: float,
+        step: int,
+    ) -> List[tuple]:
+        """Kernel rows of one mix: (is_load, scan threshold, dwell span,
+        scan step) followed by the region's row in ``tables.data``."""
+        override = self._dwell_override
+        rows = []
+        for region in regions:
+            span = region.dwell_span
+            if override and span > 512 and override < span:
+                # A phase override widens bulk regions' locality (GC
+                # walks objects, not pages) but never spreads tight
+                # regions.
+                span = override
+            rows.append(
+                (is_load, seq_fraction * region.scan_affinity, span, step)
+                + tables.data[region.name]
+            )
+        return rows
 
     def _pick_unit(self) -> CodeUnit:
         x = self.rng.random() * self._active_cum[-1]
@@ -426,7 +559,8 @@ class SliceRunner:
         """True when every collaborating structure is the stock class.
 
         The fused kernel reaches past the public methods into the way
-        lists, counter slots and predictor tables, so it is only valid
+        lists, counter slots, prefetcher dicts and predictor tables, and
+        reads regions through :class:`KernelTables`, so it is only valid
         when nothing has been subclassed or instance-patched; any
         override falls back to :meth:`_run_generic`, which produces
         bit-identical results through the public interfaces.
@@ -443,7 +577,9 @@ class SliceRunner:
             and type(memory.l1i) is SetAssociativeCache
             and type(memory.l1d) is SetAssociativeCache
             and type(memory.prefetcher) is StreamPrefetcher
+            and self._stock_regions
             and not _PATCHED_MEMORY_METHODS & memory.__dict__.keys()
+            and not _PATCHED_PREFETCH_METHODS & memory.prefetcher.__dict__.keys()
             and not _PATCHED_TRANSLATION_METHODS & translation.__dict__.keys()
             and not _PATCHED_BRANCH_METHODS & branches.__dict__.keys()
             and not _PATCHED_ACCT_METHODS & self.acct.__dict__.keys()
@@ -503,8 +639,13 @@ class SliceRunner:
         # sites below — cloning CPython's _randbelow_with_getrandbits
         # and expovariate exactly, so the draw sequence (and every
         # getrandbits width) is bit-identical to calling the methods.
+        # Weighted picks run through C bisect_right with hi = n - 1,
+        # which returns the hand-rolled search's index, including its
+        # fall-through to the last entry.
         getrandbits = rng.getrandbits
         log = _log
+        bisect = bisect_right
+        inv_scan_chunk = _INV_SCAN_CHUNK
         profile = self.profile
         mean_extra = profile.block_mean - 1.0
         inv_mean_extra = 1.0 / mean_extra if mean_extra > 0.0 else 0.0
@@ -512,13 +653,14 @@ class SliceRunner:
         larx_per_instr = profile.larx_per_instr
         sync_per_instr = profile.sync_per_instr
         load_fraction = profile.load_fraction
-        seq_load_fraction = profile.seq_load_fraction
-        seq_store_fraction = profile.seq_store_fraction
         call_frac = profile.call_fraction
         ind_frac = profile.indirect_fraction
         hard_frac = profile.hard_branch_fraction
 
         # --- counters and cycle accounting --------------------------
+        # Events that duplicate a local statistic (references, L1
+        # misses, covered loads, translation misses, L1I hits, blocks)
+        # are counted in the locals and added to the bank on exit.
         counts = self.bank.data
         acct = self.acct
         lat = acct.lat
@@ -537,30 +679,12 @@ class SliceRunner:
         ta_lat = lat.target_mispredict
         flush_w = lat.flush_width
         l2_redisp = lat.l2_miss_redispatch
-        # Exposed penalty per data source, mirroring the accountant's
-        # charge_load if-chain (anything unlisted costs a memory trip).
-        load_pen = {
-            DataSource.L2: lat.data_from_l2,
-            DataSource.L25_SHR: lat.data_from_l25,
-            DataSource.L25_MOD: lat.data_from_l25,
-            DataSource.L275_SHR: lat.data_from_l275,
-            DataSource.L275_MOD: lat.data_from_l275,
-            DataSource.L3: lat.data_from_l3,
-            DataSource.L35: lat.data_from_l35,
-            DataSource.MEM: lat.data_from_mem,
-        }
-        inst_pen = {
-            InstSource.L1: 0.0,
-            InstSource.L2: lat.inst_from_l2,
-            InstSource.L3: lat.inst_from_l3,
-            InstSource.MEM: lat.inst_from_mem,
-        }
-        DS_L2 = DataSource.L2
 
         cycles = acct.cycles
         completed = acct.completed
         extra = acct._extra_dispatch
         srq = acct._sync_srq_cycles
+        n_blocks = n_ld = n_st = 0
 
         # --- memory-system structures -------------------------------
         memory = self.memory
@@ -576,13 +700,22 @@ class SliceRunner:
         l1d_lru = l1d.lru
         iline_bytes = memory.machine.l1i.line_bytes
         dline = memory.machine.l1d.line_bytes
-        streams = memory.prefetcher._streams
-        on_miss = memory.prefetcher.on_miss
+        # StreamPrefetcher.on_miss is inlined: the same dict
+        # operations in the same order, on the prefetcher's own dicts.
+        prefetcher = memory.prefetcher
+        streams = prefetcher._streams
+        runs = prefetcher._runs
+        runs_pop = runs.pop
+        alloc_after = prefetcher.config.allocate_after
+        n_streams = prefetcher.config.n_streams
+        runs_cap = prefetcher._runs_capacity
+        alloc_l2 = prefetcher.alloc_outcome.l2_prefetches
         gather = memory._store_gather
         # Beyond-L1 source classification draws from the memory
         # system's own backing RNG stream, not the instruction stream.
-        backing_rng = memory.rng
-        l1i_h = l1i_m = l1d_h = l1d_m = 0
+        brnd = memory.rng.random
+        l1i_h = l1i_m = l1d_h = 0
+        ld_miss = st_miss = covered = 0
 
         # --- object-centric attribution (repro.obs.objprof) ---------
         # Charges data-side miss events to allocation-site extents.
@@ -595,7 +728,6 @@ class SliceRunner:
         P_DERAT = _objprof.SLOT_DERAT_MISS
         P_DTLB = _objprof.SLOT_DTLB_MISS
         P_COVERED = _objprof.SLOT_COVERED
-        P_SOURCE = _objprof.SLOT_OF_SOURCE
 
         # --- translation structures (ERATs are LRU by construction) -
         trans = self.translation
@@ -611,14 +743,11 @@ class SliceRunner:
         ierat_granule = trans.ierat.granule_bytes
         tlb = trans.tlb
         tlb_access = tlb.cache.access
-        derat_h = derat_m = ierat_h = ierat_m = 0
+        derat_m = ierat_h = ierat_m = 0
         tlb_dh = tlb_dm = tlb_ih = tlb_im = 0
 
         # --- code side ----------------------------------------------
-        code_region = self._code_region
-        code_page = code_region.page_bytes
-        code_flag = 1 if code_page > 4096 else 0
-        pick_inst = code_region.pick_inst_source
+        code_page, code_flag, icum, ients, in_m1 = self._inst_row
         dir_pred = self.branches.direction
         dir_table = dir_pred._table
         dir_entries = dir_pred.entries
@@ -633,21 +762,26 @@ class SliceRunner:
         unit_base = unit.base
         unit_end = unit.end
         cond_sites = unit.cond_sites
+        n_cond = len(cond_sites)
+        cond_nb = n_cond.bit_length()
         ind_sites = unit.ind_sites
         pos = self._pos
         fetched = self._fetched_line
 
         # --- data side ----------------------------------------------
-        load_regions = self._load_regions
+        load_rows = self._load_rows
         load_cum = self._load_cum
-        n_load_m1 = len(load_regions) - 1
-        store_regions = self._store_regions
+        load_total = load_cum[-1]
+        n_load_m1 = len(load_rows) - 1
+        store_rows = self._store_rows
         store_cum = self._store_cum
-        n_store_m1 = len(store_regions) - 1
+        store_total = store_cum[-1]
+        n_store_m1 = len(store_rows) - 1
         granule_d = self._granule
+        granule_get = granule_d.get
         seq_ptr_d = self._seq_ptr
+        seq_get = seq_ptr_d.get
         dwell_p = self._dwell_p
-        dwell_override = self._dwell_override
 
         while cycles < cycle_limit:
             # ---- block length --------------------------------------
@@ -681,13 +815,11 @@ class SliceRunner:
                     if len(ways) >= ierat_assoc:
                         del ways[0]
                     ways.append(g)
-                    counts[_IERAT_MISS] += 1
                     hit = tlb_access(addr // code_page * 2 + code_flag)
                     if hit:
                         tlb_ih += 1
                     else:
                         tlb_im += 1
-                        counts[_ITLB_MISS] += 1
                     cycles += ierat_lat
                     if not hit:
                         cycles += tlb_lat
@@ -698,15 +830,14 @@ class SliceRunner:
                     if l1i_lru and ways[-1] != line:
                         ways.remove(line)
                         ways.append(line)
-                    counts[_INST_FROM_L1] += 1
                 else:
                     l1i_m += 1
-                    source = pick_inst(backing_rng)
-                    counts[_INST_SLOT[source]] += 1
+                    slot, pen = ients[bisect(icum, brnd(), 0, in_m1)]
+                    counts[slot] += 1
                     if len(ways) >= l1i_assoc:
                         del ways[0]
                     ways.append(line)
-                    cycles += inst_pen[source]
+                    cycles += pen
                 fetched = line
                 line += 1
             pos = end
@@ -721,69 +852,47 @@ class SliceRunner:
             if rnd() < e - n_mem:
                 n_mem += 1
             for _ in range(n_mem):
-                is_load = rnd() < load_fraction
-                if is_load:
-                    regions = load_regions
-                    cum = load_cum
-                    hi = n_load_m1
-                    seq_fraction = seq_load_fraction
-                    step = SEQ_LOAD_STEP
+                if rnd() < load_fraction:
+                    x = rnd() * load_total
+                    row = load_rows[bisect(load_cum, x, 0, n_load_m1)]
                 else:
-                    regions = store_regions
-                    cum = store_cum
-                    hi = n_store_m1
-                    seq_fraction = seq_store_fraction
-                    step = SEQ_STORE_STEP
-                x = rnd() * cum[-1]
-                lo = 0
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if cum[mid] <= x:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                region = regions[lo]
+                    x = rnd() * store_total
+                    row = store_rows[bisect(store_cum, x, 0, n_store_m1)]
+                (
+                    is_load, seq_aff, span, step, name, base, rend, size, size_nb,
+                    n_pages, pages_nb, page, page_flag, region, bcum, bents, bn_m1,
+                ) = row
 
                 # Address: scan, dwell, or fresh draw (in that order).
                 # Scans advance a per-region sequential pointer (table
                 # scans, copies, the allocation frontier) and feed the
                 # stream prefetcher; non-scan accesses mostly dwell in
                 # the region's current locality neighborhood.
-                if rnd() < seq_fraction * region.scan_affinity:
-                    name = region.name
-                    ptr = seq_ptr_d.get(name)
+                if rnd() < seq_aff:
+                    ptr = seq_get(name)
                     # Scans run in chunks: a real scan is interrupted
                     # (next row batch, next object) every ~SCAN_CHUNK
                     # accesses and resumes elsewhere, so every burst
                     # pays its own stream allocation and leading
                     # misses.
-                    if ptr is None or rnd() < _INV_SCAN_CHUNK:
+                    if ptr is None or rnd() < inv_scan_chunk:
                         # randrange(n_pages) inlined (CPython's
                         # _randbelow_with_getrandbits, bit-identical).
-                        n = region.n_pages
-                        nb = n.bit_length()
-                        r = getrandbits(nb)
-                        while r >= n:
-                            r = getrandbits(nb)
-                        ptr = region.base + r * region.page_bytes
+                        r = getrandbits(pages_nb)
+                        while r >= n_pages:
+                            r = getrandbits(pages_nb)
+                        ptr = base + r * page
                     addr = ptr
                     ptr += step
-                    if ptr >= region.end:
-                        ptr = region.base
+                    if ptr >= rend:
+                        ptr = base
                     seq_ptr_d[name] = ptr
                 else:
-                    span = region.dwell_span
-                    if dwell_override:
-                        # A phase override widens bulk regions'
-                        # locality (GC walks objects, not pages) but
-                        # never spreads tight regions.
-                        if span > 512 and dwell_override < span:
-                            span = dwell_override
                     addr = None
                     if rnd() < dwell_p:
-                        granule = granule_d.get(region.name)
+                        granule = granule_get(name)
                         if granule is not None:
-                            n = region.end - granule
+                            n = rend - granule
                             if span < n:
                                 n = span
                             nb = n.bit_length()
@@ -792,21 +901,17 @@ class SliceRunner:
                                 r = getrandbits(nb)
                             addr = granule + r
                     if addr is None:
-                        n = region.size_bytes
-                        nb = n.bit_length()
-                        r = getrandbits(nb)
-                        while r >= n:
-                            r = getrandbits(nb)
-                        addr = region.base + r
+                        r = getrandbits(size_nb)
+                        while r >= size:
+                            r = getrandbits(size_nb)
+                        addr = base + r
                         granule = (addr // span) * span
-                        base = region.base
-                        granule_d[region.name] = granule if granule > base else base
+                        granule_d[name] = granule if granule > base else base
 
                 # D-side translation: DERAT, then the unified TLB.
                 g = addr // derat_granule
                 ways = derat_sets[g % derat_nsets]
                 if g in ways:
-                    derat_h += 1
                     if ways[-1] != g:
                         ways.remove(g)
                         ways.append(g)
@@ -815,16 +920,13 @@ class SliceRunner:
                     if len(ways) >= derat_assoc:
                         del ways[0]
                     ways.append(g)
-                    counts[_DERAT_MISS] += 1
                     if prof_charge is not None:
                         prof_charge(region, addr, P_DERAT)
-                    page = region.page_bytes
-                    hit = tlb_access(addr // page * 2 + (1 if page > 4096 else 0))
+                    hit = tlb_access(addr // page * 2 + page_flag)
                     if hit:
                         tlb_dh += 1
                     else:
                         tlb_dm += 1
-                        counts[_DTLB_MISS] += 1
                         if prof_charge is not None:
                             prof_charge(region, addr, P_DTLB)
                     cycles += derat_lat
@@ -834,7 +936,7 @@ class SliceRunner:
 
                 dblock = addr // dline
                 if is_load:
-                    counts[_LD_REF] += 1
+                    n_ld += 1
                     if dblock in streams:
                         # Prefetch-covered: behaves like an L1 hit;
                         # the stream advances and stays most-recent.
@@ -849,8 +951,7 @@ class SliceRunner:
                             if len(ways) >= l1d_assoc:
                                 del ways[0]
                             ways.append(dblock)
-                        counts[_L1_PREF] += 1
-                        counts[_L2_PREF] += 1
+                        covered += 1
                         if prof_charge is not None:
                             prof_charge(region, addr, P_COVERED)
                         cycles += covered_lat
@@ -862,30 +963,43 @@ class SliceRunner:
                                 ways.remove(dblock)
                                 ways.append(dblock)
                         else:
-                            l1d_m += 1
-                            counts[_LD_MISS] += 1
-                            outcome = on_miss(dblock)
-                            allocated = outcome.allocated
-                            if allocated:
-                                counts[_STREAM_ALLOC] += 1
-                                counts[_L2_PREF] += outcome.l2_prefetches
-                            source = region.pick_source(backing_rng)
-                            counts[_DATA_SLOT[source]] += 1
+                            ld_miss += 1
+                            # The stream detector (on_miss): extend the
+                            # ascending run ending at the previous line,
+                            # or allocate a stream once it is confirmed.
+                            run = runs_pop(dblock - 1, 0) + 1
+                            allocated = False
+                            if run > alloc_after:
+                                if dblock + 1 not in streams:
+                                    while len(streams) >= n_streams:
+                                        del streams[next(iter(streams))]
+                                    streams[dblock + 1] = None
+                                    allocated = True
+                                    counts[_STREAM_ALLOC] += 1
+                                    counts[_L2_PREF] += alloc_l2
+                            else:
+                                runs[dblock] = run
+                                while len(runs) > runs_cap:
+                                    del runs[next(iter(runs))]
+                            slot, pen, is_l2, prof_slot = bents[
+                                bisect(bcum, brnd(), 0, bn_m1)
+                            ]
+                            counts[slot] += 1
                             if prof_charge is not None:
                                 prof_charge(region, addr, P_LD_MISS)
-                                prof_charge(region, addr, P_SOURCE[source])
+                                prof_charge(region, addr, prof_slot)
                             if len(ways) >= l1d_assoc:
                                 del ways[0]
                             ways.append(dblock)
-                            cycles += load_pen[source]
-                            if source is DS_L2:
+                            cycles += pen
+                            if is_l2:
                                 extra += l2_redisp
                             if allocated:
                                 cycles += alloc_lat
                 else:
                     # Write-through, non-allocating store path with
                     # an 8-entry store-gather (SRQ merge) buffer.
-                    counts[_ST_REF] += 1
+                    n_st += 1
                     if dblock in gather:
                         del gather[dblock]
                         gather[dblock] = None
@@ -900,8 +1014,7 @@ class SliceRunner:
                                 ways.remove(dblock)
                                 ways.append(dblock)
                         else:
-                            l1d_m += 1
-                            counts[_ST_MISS] += 1
+                            st_miss += 1
                             if prof_charge is not None:
                                 prof_charge(region, addr, P_ST_MISS)
                             cycles += store_miss_lat
@@ -931,7 +1044,7 @@ class SliceRunner:
                     srq += sync_srq_lat
 
             # ---- end-of-block branch -------------------------------
-            counts[_BR_CMPL] += 1
+            n_blocks += 1
             switch = False
             if hard_frac and rnd() < hard_frac:
                 # A data-dependent branch: effectively unpredictable.
@@ -975,11 +1088,9 @@ class SliceRunner:
                 # Virtual dispatch usually transfers to another method.
                 switch = rnd() < 0.6
             else:
-                n = len(cond_sites)
-                nb = n.bit_length()
-                r = getrandbits(nb)
-                while r >= n:
-                    r = getrandbits(nb)
+                r = getrandbits(cond_nb)
+                while r >= n_cond:
+                    r = getrandbits(cond_nb)
                 sid, bias = cond_sites[r]
                 taken = rnd() < bias
                 idx = sid % dir_entries
@@ -1011,19 +1122,12 @@ class SliceRunner:
                 switch = rnd() < call_frac or pos >= unit_end
             if switch:
                 # Weighted draw of the next active unit.
-                x = rnd() * acum_last
-                lo = 0
-                hi = n_active_m1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if active_cum[mid] <= x:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                unit = active[lo]
+                unit = active[bisect(active_cum, rnd() * acum_last, 0, n_active_m1)]
                 unit_base = unit.base
                 unit_end = unit.end
                 cond_sites = unit.cond_sites
+                n_cond = len(cond_sites)
+                cond_nb = n_cond.bit_length()
                 ind_sites = unit.ind_sites
                 pos = unit_base
                 fetched = -1
@@ -1033,11 +1137,24 @@ class SliceRunner:
         acct.completed = completed
         acct._extra_dispatch = extra
         acct._sync_srq_cycles = srq
+        counts[_BR_CMPL] += n_blocks
+        counts[_INST_FROM_L1] += l1i_h
+        counts[_IERAT_MISS] += ierat_m
+        counts[_ITLB_MISS] += tlb_im
+        counts[_LD_REF] += n_ld
+        counts[_ST_REF] += n_st
+        counts[_LD_MISS] += ld_miss
+        counts[_ST_MISS] += st_miss
+        counts[_L1_PREF] += covered
+        counts[_L2_PREF] += covered
+        counts[_DERAT_MISS] += derat_m
+        counts[_DTLB_MISS] += tlb_dm
         l1i.hits += l1i_h
         l1i.misses += l1i_m
         l1d.hits += l1d_h
-        l1d.misses += l1d_m
-        derat.hits += derat_h
+        l1d.misses += ld_miss + st_miss
+        # Every data reference probes the DERAT once.
+        derat.hits += n_ld + n_st - derat_m
         derat.misses += derat_m
         ierat.hits += ierat_h
         ierat.misses += ierat_m

@@ -14,6 +14,12 @@ one-measurement ``speedup`` moves with scheduler jitter alone.  Here
 ``best_s`` (the minimum) is the headline — the least-perturbed
 observation of the same deterministic work — and ``spread`` records
 how noisy the repetitions were.
+
+The host's own speed also drifts, in phases of seconds to minutes, so
+two honest back-to-back records of identical work can read well over
+1.3x apart.  Each repetition is therefore paired with one round of a
+fixed reference work (``rounds_s``), which lets the gate compare
+kernels in units of host speed (:func:`repro.perf.gate.compare_records`).
 """
 
 from __future__ import annotations
@@ -31,6 +37,43 @@ SUITE_KIND = "perf_suite"
 #: Mann-Whitney comparison the gate runs.
 MIN_REPETITIONS = 5
 
+#: Work of one reference round, about 2 ms on a 2-vCPU Intel Xeon.
+ROUND_ARITHMETIC = 5000
+ROUND_PROBES = 3000
+#: The buffer a round reads and writes, larger than per-core caches.
+ROUND_BUFFER_BYTES = 4 << 20
+
+
+class ReferenceWork:
+    """A fixed piece of work, not the program, that gauges host speed.
+
+    A round does interpreted integer arithmetic and dict access, then
+    scattered reads and writes over a 4 MiB buffer.
+    """
+
+    def __init__(self):
+        self._table = dict.fromkeys(range(256), 1)
+        self._buffer = bytearray(ROUND_BUFFER_BYTES)
+        # Untimed: the first round faults the buffer's pages in.
+        self.round()
+
+    def round(self) -> float:
+        """CPU seconds this thread takes for one round.
+
+        Thread CPU time leaves out time spent descheduled, but not a
+        slower host.
+        """
+        table, buffer, mask = self._table, self._buffer, ROUND_BUFFER_BYTES - 1
+        started = time.thread_time()
+        acc = 0
+        for i in range(ROUND_ARITHMETIC):
+            acc = (acc + table[i & 255] * i) % 1000003
+            table[i & 255] = acc & 0xFFFF
+        for i in range(ROUND_PROBES):
+            acc += buffer[(i * 2654435761 + acc) & mask]
+            buffer[(i * 40503) & mask] = i & 255
+        return time.thread_time() - started
+
 
 def best_of(
     setup: Callable[[], object],
@@ -41,18 +84,23 @@ def best_of(
 
     ``setup`` runs outside the timed region each repetition, so
     stateful kernels (caches, core models) start identical every time
-    and the repetitions measure the same work.
+    and the repetitions measure the same work.  One reference round is
+    timed right before each repetition (``rounds_s``, same order).
     """
     if reps < 1:
         raise ValueError("need at least one repetition")
+    work = ReferenceWork()
     times: List[float] = []
+    rounds: List[float] = []
     for _ in range(reps):
         state = setup()
+        rounds.append(work.round())
         t0 = time.perf_counter()
         body(state)
         times.append(time.perf_counter() - t0)
     return {
         "reps_s": [round(t, 6) for t in times],
+        "rounds_s": [round(r, 7) for r in rounds],
         "best_s": round(min(times), 6),
         "median_s": round(percentile(times, 50.0), 6),
         "spread": round(relative_spread(times), 4),

@@ -11,8 +11,11 @@ matters — instead of eyeballing one number:
   repetition samples (:func:`repro.util.stats.mann_whitney_u`): is the
   new sample stochastically slower than the baseline sample?
 
-A kernel fails only when the slowdown is *both* large (ratio at or
-beyond ``fail_ratio``) and significant (p below ``alpha``); smaller
+Both read host-speed-rescaled repetitions when the two records carry
+reference rounds (see :func:`host_scales`), so that a host
+that drifted slower between the records is not read as a slower
+kernel.  A kernel fails only when the slowdown is *both* large (ratio
+at or beyond ``fail_ratio``) and significant (p below ``alpha``); smaller
 but significant slowdowns warn.  That is the "warn on small deltas,
 fail on significant ones" CI policy — the 1.86x-9.41x kernel wins
 recorded in BENCH_core_model.json keep a guard without the gate
@@ -24,10 +27,10 @@ is not one distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.perf.history import describe_record, is_dirty_record, latest_pair
-from repro.util.stats import mann_whitney_u
+from repro.util.stats import mann_whitney_u, percentile
 
 #: Verdict levels, in increasing severity.
 OK = "ok"
@@ -44,6 +47,9 @@ REGRESSED = "regressed"
 DEFAULT_FAIL_RATIO = 1.3
 DEFAULT_WARN_RATIO = 1.10
 DEFAULT_ALPHA = 0.05
+#: Rescaled repetitions are seconds on a host whose median reference
+#: round takes this long.
+REFERENCE_ROUND_S = 0.002
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,29 @@ def _kernel_entries(record: Dict[str, object]) -> Dict[str, Dict[str, object]]:
 
 def _same_work(a: Dict[str, object], b: Dict[str, object]) -> bool:
     """Two entries measured identical work (same size parameters)."""
-    keys = (set(a) | set(b)) - {"reps_s", "best_s", "median_s", "spread"}
+    keys = (set(a) | set(b)) - {"reps_s", "rounds_s", "best_s", "median_s", "spread"}
     return all(a.get(k) == b.get(k) for k in keys)
+
+
+def host_scales(
+    base: Dict[str, object], new: Dict[str, object]
+) -> Optional[Tuple[float, float]]:
+    """Factors that put two entries' times on one host speed.
+
+    When both entries carry reference rounds (``rounds_s``), each
+    entry's times are scaled by ``REFERENCE_ROUND_S`` over its median
+    round, so a host-speed shift between the records cancels.
+    Otherwise (records from before the rounds) returns None and the
+    raw times are compared.
+    """
+    if not (base.get("rounds_s") and new.get("rounds_s")):
+        return None
+
+    def scale(entry: Dict[str, object]) -> float:
+        rounds = [float(r) for r in entry["rounds_s"]]
+        return REFERENCE_ROUND_S / percentile(rounds, 50.0)
+
+    return scale(base), scale(new)
 
 
 def compare_records(
@@ -182,11 +209,15 @@ def compare_records(
                 )
             )
             continue
-        base_best = float(base["best_s"])
-        new_best = float(new["best_s"])
+        scales = host_scales(base, new)
+        base_scale, new_scale = scales or (1.0, 1.0)
+        base_best = float(base["best_s"]) * base_scale
+        new_best = float(new["best_s"]) * new_scale
         ratio = new_best / base_best if base_best > 0 else float("inf")
-        base_reps = [float(t) for t in base.get("reps_s", [base_best])]
-        new_reps = [float(t) for t in new.get("reps_s", [new_best])]
+        base_reps = [float(t) * base_scale for t in base.get("reps_s", ())]
+        new_reps = [float(t) * new_scale for t in new.get("reps_s", ())]
+        base_reps = base_reps or [base_best]
+        new_reps = new_reps or [new_best]
         if len(base_reps) >= 2 and len(new_reps) >= 2:
             p = mann_whitney_u(base_reps, new_reps).p_greater
             significant = p < alpha
@@ -213,6 +244,8 @@ def compare_records(
         if cross_host and verdict == REGRESSED:
             verdict = WARN
             note += " (cross-host comparison; warn only)"
+        if scales is not None:
+            note = f"{note} (host-speed rescaled)".lstrip()
         report.verdicts.append(
             KernelVerdict(
                 kernel=kernel,

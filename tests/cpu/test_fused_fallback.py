@@ -10,14 +10,17 @@ preserving subclasses and assert it stays bit-identical to the pinned
 :class:`~repro.cpu.reference.ReferenceCoreModel`.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.config import JvmConfig, MachineConfig, SamplingConfig
+from repro.cpu import regions as R
 from repro.cpu.branch import BranchUnit
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.core_model import CoreModel, StaticSchedule
+from repro.cpu.pipeline import PipelineAccountant
 from repro.cpu.phases import (
     PhaseDescriptor,
     gc_mark_profile,
@@ -25,7 +28,9 @@ from repro.cpu.phases import (
     kernel_profile,
 )
 from repro.cpu.reference import ReferenceCoreModel
-from repro.cpu.regions import AddressSpace
+from repro.cpu.regions import AddressSpace, Region
+from repro.cpu.sources import DataSource, InstSource
+from repro.cpu.stream import SliceRunner
 from repro.util.rng import RngFactory
 
 N_WINDOWS = 4
@@ -40,9 +45,41 @@ class PassthroughCache(SetAssociativeCache):
     """Same — any cache subclass invalidates the fused way-list access."""
 
 
-def _build(model_cls, seed=SEED):
+class SpyRegion(Region):
+    """Unchanged behaviour, but records every beyond-L1 source draw.
+
+    The fused kernel draws sources from precomputed tables, so a region
+    subclass must force the generic path, where these methods run.
+    """
+
+    #: Class-level: frozen dataclass instances cannot hold the log.
+    draws = []
+
+    def pick_source(self, rng):
+        SpyRegion.draws.append(self.name)
+        return super().pick_source(rng)
+
+    def pick_inst_source(self, rng):
+        SpyRegion.draws.append(self.name)
+        return super().pick_inst_source(rng)
+
+
+def _respace(changes, cls=Region):
+    """The default layout with every region named in ``changes``
+    rebuilt as ``cls``, with the field values given for it."""
+    space = AddressSpace.build(MachineConfig(), JvmConfig())
+    return AddressSpace(
+        [
+            cls(**{**vars(space[n]), **changes[n]}) if n in changes else space[n]
+            for n in space.names()
+        ]
+    )
+
+
+def _build(model_cls, seed=SEED, space=None):
     machine = MachineConfig()
-    space = AddressSpace.build(machine, JvmConfig())
+    if space is None:
+        space = AddressSpace.build(machine, JvmConfig())
     prof_rng = random.Random(7)
     descriptor = PhaseDescriptor(
         slices=(
@@ -148,3 +185,111 @@ class TestGenericPathBitIdentical:
             snap = core.execute_window(w)
             assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
         assert _hardware_state(core) == ref_hw
+
+
+class TestInlinedCollaboratorsForceGenericPath:
+    """Overrides of what the kernel inlines or tabulates are honoured.
+
+    Each override below behaves like the stock code but records its
+    calls: the windows must match the reference exactly *and* the
+    override must actually have run.
+    """
+
+    def _assert_reference_windows(self, core, reference_snaps):
+        ref_snaps, ref_hw = reference_snaps
+        for w, ref in enumerate(ref_snaps):
+            snap = core.execute_window(w)
+            assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
+        assert _hardware_state(core) == ref_hw
+
+    @pytest.mark.parametrize("method", ["cover", "on_miss"])
+    def test_prefetcher_patch_is_honoured(self, reference_snaps, method):
+        core = _build(CoreModel)
+        prefetcher = core.memory.prefetcher
+        original = getattr(prefetcher, method)
+        calls = []
+
+        def spy(line):
+            calls.append(line)
+            return original(line)
+
+        setattr(prefetcher, method, spy)
+        assert not _first_runner(core)._can_fuse()
+        self._assert_reference_windows(core, reference_snaps)
+        assert calls
+
+    # The kernel profile (first slice) loads from native_data and
+    # fetches from code_kernel.
+    @pytest.mark.parametrize("name", [R.NATIVE_DATA, R.CODE_KERNEL])
+    def test_region_subclass_is_honoured(self, reference_snaps, name):
+        SpyRegion.draws.clear()
+        core = _build(CoreModel, space=_respace({name: {}}, SpyRegion))
+        assert not _first_runner(core)._can_fuse()
+        self._assert_reference_windows(core, reference_snaps)
+        assert name in SpyRegion.draws
+
+
+class TestEmptyBackingRejected:
+    """A region that would have to source a miss from nothing is a
+    construction error, not an IndexError deep inside a window."""
+
+    @pytest.mark.parametrize("model_cls", [CoreModel, ReferenceCoreModel])
+    def test_load_mix_region_without_backing(self, model_cls):
+        core = _build(model_cls, space=_respace({R.NATIVE_DATA: {"backing": ()}}))
+        with pytest.raises(ValueError, match="'kernel'.*'native_data'"):
+            _first_runner(core)
+
+    @pytest.mark.parametrize("model_cls", [CoreModel, ReferenceCoreModel])
+    def test_code_region_without_inst_backing(self, model_cls):
+        space = _respace({R.CODE_KERNEL: {"inst_backing": ()}})
+        core = _build(model_cls, space=space)
+        with pytest.raises(ValueError, match="'kernel'.*'code_kernel'"):
+            _first_runner(core)
+
+
+class TestShortBackingFallsThrough:
+    """Weights summing below 1: ``pick_source`` returns the last source
+    for a draw past the total, and the kernel's bisect must agree."""
+
+    def test_windows_match_reference(self):
+        data = ((DataSource.L2, 0.25), (DataSource.MEM, 0.25))
+        inst = ((InstSource.L2, 0.3), (InstSource.L3, 0.3))
+        short = {R.NATIVE_DATA: {"backing": data}, R.CODE_KERNEL: {"inst_backing": inst}}
+        fused = _build(CoreModel, space=_respace(short))
+        reference = _build(ReferenceCoreModel, space=_respace(short))
+        assert _first_runner(fused)._can_fuse()
+        for w in range(N_WINDOWS):
+            snap = fused.execute_window(w)
+            assert dict(snap.counts) == dict(reference.execute_window(w).counts)
+        assert _hardware_state(fused) == _hardware_state(reference)
+
+
+class TestTablesKeyedBySpaceAndLatencies:
+    """A core's region tables are never read for another layout."""
+
+    @staticmethod
+    def _rows(core, space, lat, tables):
+        runner = SliceRunner(
+            profile=kernel_profile(random.Random(7), space),
+            space=space,
+            memory=core.memory,
+            translation=core.translation,
+            branches=core.branches,
+            accountant=PipelineAccountant(lat, random.Random(2)),
+            counters=core._bank,
+            rng=random.Random(3),
+            tables=tables,
+        )
+        return runner._load_rows, runner._store_rows, runner._inst_row
+
+    def test_foreign_space_or_latencies_rebuild(self):
+        core = _build(CoreModel)
+        lat = core.machine.latencies
+        # A smaller DB2 buffer pool moves every later region; slower
+        # memory and L2 change the penalties of the kernel's sources.
+        other_space = AddressSpace.build(core.machine, JvmConfig(), db_buffer_mb=64)
+        other_lat = dataclasses.replace(lat, data_from_mem=999.0, inst_from_l2=99.0)
+        for space, latencies in ((other_space, lat), (core.space, other_lat)):
+            fresh = self._rows(core, space, latencies, None)
+            assert self._rows(core, space, latencies, core._kernel_tables) == fresh
+            assert fresh != self._rows(core, core.space, lat, None)

@@ -139,6 +139,80 @@ class TestInstrumentedWindowIdentical:
         assert profiles  # every slice span is labeled with its phase
 
 
+# ---------------------------------------------------------------------------
+# The windows `characterize` runs: workload-bridged mutator and GC profiles
+# ---------------------------------------------------------------------------
+
+#: Quick-config windows: 20 mutator-only windows (web, was_jited,
+#: was_nonjited and db2 slices), then a stretch through the GC at 50-52
+#: (gc_mark and gc_sweep slices).
+CHARACTERIZE_WINDOWS = (*range(20), *range(47, 52))
+CHARACTERIZE_PROFILES = {
+    "web", "was_jited", "was_nonjited", "db2", "gc_mark", "gc_sweep",
+}
+
+
+def _full_state(core):
+    """Every piece of hardware state the fused kernel writes."""
+    memory, t = core.memory, core.translation
+    return {
+        "streams": list(memory.prefetcher._streams.items()),
+        "runs": list(memory.prefetcher._runs.items()),
+        "store_gather": list(memory._store_gather),
+        "direction": list(core.branches.direction._table),
+        "target": list(core.branches.target._table),
+        "l1i": (memory.l1i.hits, memory.l1i.misses),
+        "l1d": (memory.l1d.hits, memory.l1d.misses),
+        "ierat": (t.ierat.cache.hits, t.ierat.cache.misses),
+        "derat": (t.derat.cache.hits, t.derat.cache.misses),
+        "tlb": (t.tlb.data_hits, t.tlb.data_misses, t.tlb.inst_hits, t.tlb.inst_misses),
+    }
+
+
+@pytest.fixture(scope="module")
+def characterize_models():
+    from repro.core.characterization import Characterization
+    from repro.experiments.common import quick_config
+
+    cores = []
+    for model_cls in (CoreModel, ReferenceCoreModel):
+        study = Characterization(quick_config(2007))
+        study.core_model_cls = model_cls
+        cores.append(study.core)
+    fused, reference = cores
+    assert type(fused) is CoreModel and type(reference) is ReferenceCoreModel
+    seen = set()
+    descriptor_for = fused.schedule.descriptor_for
+
+    def recording(window_index):
+        descriptor = descriptor_for(window_index)
+        seen.update(p.name for p, f in descriptor.slices if f > 0)
+        return descriptor
+
+    fused.schedule.descriptor_for = recording
+    snaps = []
+    for w in CHARACTERIZE_WINDOWS:
+        snaps.append((fused.execute_window(w), reference.execute_window(w)))
+    return fused, reference, snaps, seen
+
+
+class TestCharacterizeWindowsIdentical:
+    def test_profiles_covered(self, characterize_models):
+        *_, seen = characterize_models
+        assert CHARACTERIZE_PROFILES <= seen
+
+    def test_every_window_bit_identical(self, characterize_models):
+        _, _, snaps, _ = characterize_models
+        for w, (opt, ref) in zip(CHARACTERIZE_WINDOWS, snaps):
+            assert dict(opt.counts) == dict(ref.counts), f"window {w} diverged"
+
+    def test_full_hardware_state(self, characterize_models):
+        fused, reference, _, _ = characterize_models
+        state = _full_state(fused)
+        assert state["streams"] and state["runs"] and state["store_gather"]
+        assert state == _full_state(reference)
+
+
 def test_reference_runner_never_fuses():
     reference = _build(ReferenceCoreModel, 1)
     runner = reference.slice_runner_cls(

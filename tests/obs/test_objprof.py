@@ -37,6 +37,8 @@ from repro.cpu.translation import TranslationUnit
 from repro.hpm.counters import CounterBank
 from repro.hpm.events import Event
 from repro.jvm.heap import FlatHeap
+from repro.jvm.methods import MethodRegistry
+from repro.jvm.runtime import MutatorIntensity, mutator_profiles
 from repro.obs import objprof
 from repro.obs.metrics import MetricsRegistry, snapshot_delta
 from repro.util.rng import RngFactory
@@ -272,7 +274,16 @@ class PassthroughBranchUnit(BranchUnit):
     """Behaviour-preserving subclass: forces the generic stream path."""
 
 
-def _run_profiled_slice(space, cycles=60000, seed=11, force_generic=False):
+@pytest.fixture(scope="module")
+def was_jited(space):
+    """A mutator profile: its loads reach every heap stratum, the
+    shared heap (remote-L2 sources) and the DB2 buffer pool."""
+    registry = MethodRegistry(JvmConfig(), space, random.Random(5))
+    profiles = mutator_profiles(registry, space, random.Random(5), MutatorIntensity())
+    return profiles["was_jited"]
+
+
+def _run_profiled_slice(space, mutator, cycles=60000, seed=11, force_generic=False):
     machine = MachineConfig()
     bank = CounterBank()
     rngs = RngFactory(seed)
@@ -286,6 +297,7 @@ def _run_profiled_slice(space, cycles=60000, seed=11, force_generic=False):
             kernel_profile(prof_rng, space),
             interpreter_profile(prof_rng, space),
             gc_mark_profile(prof_rng, space),
+            mutator,
         ):
             runner = SliceRunner(
                 profile, space, memory, translation, branches,
@@ -297,10 +309,10 @@ def _run_profiled_slice(space, cycles=60000, seed=11, force_generic=False):
 
 
 @pytest.mark.parametrize("force_generic", [False, True])
-def test_every_bank_miss_event_is_attributed(space, force_generic):
+def test_every_bank_miss_event_is_attributed(space, was_jited, force_generic):
     """Per-site sums equal the counter bank's totals *exactly* — every
     DERAT/DTLB/L1D miss and every sourced load is charged to a site."""
-    snap, prof = _run_profiled_slice(space, force_generic=force_generic)
+    snap, prof = _run_profiled_slice(space, was_jited, force_generic=force_generic)
     profile = prof.build_profile()
     assert profile.total(objprof.SLOT_LD_MISS) == snap[Event.PM_LD_MISS_L1]
     assert profile.total(objprof.SLOT_ST_MISS) == snap[Event.PM_ST_MISS_L1]
@@ -315,10 +327,10 @@ def test_every_bank_miss_event_is_attributed(space, force_generic):
     assert snap[Event.PM_DERAT_MISS] > 0
 
 
-def test_fused_and_generic_attribute_identically(space):
+def test_fused_and_generic_attribute_identically(space, was_jited):
     """The two kernels charge the same sites the same amounts."""
-    snap_f, prof_f = _run_profiled_slice(space, force_generic=False)
-    snap_g, prof_g = _run_profiled_slice(space, force_generic=True)
+    snap_f, prof_f = _run_profiled_slice(space, was_jited, force_generic=False)
+    snap_g, prof_g = _run_profiled_slice(space, was_jited, force_generic=True)
     assert {e.name: v for e, v in snap_f.counts.items()} == \
         {e.name: v for e, v in snap_g.counts.items()}
     assert prof_f.counts == prof_g.counts

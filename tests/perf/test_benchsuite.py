@@ -36,6 +36,8 @@ class TestBestOf:
         result = best_of(setup, lambda state: None, reps=5)
         assert calls == ["setup"] * 5
         assert len(result["reps_s"]) == 5
+        # One host-speed reference round next to every repetition.
+        assert len(result["rounds_s"]) == 5 and min(result["rounds_s"]) > 0
         assert result["best_s"] == min(result["reps_s"])
         assert result["best_s"] <= result["median_s"]
         assert result["spread"] >= 0.0

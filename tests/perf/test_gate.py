@@ -180,6 +180,48 @@ class TestEvaluateGate:
         assert verdict_of(lax, "k").verdict == OK
 
 
+class TestHostSpeedRescaling:
+    """Records carrying reference rounds are compared in host-speed units."""
+
+    @staticmethod
+    def entry(reps, rounds):
+        return {
+            "reps_s": list(reps),
+            "rounds_s": list(rounds),
+            "best_s": min(reps),
+            "median_s": sorted(reps)[len(reps) // 2],
+            "spread": (max(reps) - min(reps)) / min(reps),
+            "windows": 4,
+        }
+
+    def test_slower_host_is_not_a_regression(self):
+        # Raw times 1.4x apart, but every reference round is 1.4x
+        # slower too: the host slowed, not the kernel.
+        slow = [t * 1.4 for t in BASE]
+        base = record({"k": self.entry(BASE, [0.002] * 5)})
+        new = record({"k": self.entry(slow, [0.0028] * 5)})
+        assert not evaluate_gate([base, record({"k": slow})]).passed
+        report = evaluate_gate([base, new])
+        assert report.passed, "\n".join(report.render_lines())
+        assert verdict_of(report, "k").ratio == 1.0
+        assert "rescaled" in verdict_of(report, "k").note
+
+    def test_slower_kernel_on_same_host_regresses(self):
+        rounds = [0.0020, 0.0021, 0.0019, 0.0020, 0.0022]
+        base = record({"k": self.entry(BASE, rounds)})
+        new = record({"k": self.entry(DOUBLED, rounds)})
+        report = evaluate_gate([base, new])
+        assert not report.passed
+        assert verdict_of(report, "k").verdict == REGRESSED
+
+    def test_rounds_on_one_side_only_compare_raw(self):
+        base = record({"k": BASE})
+        new = record({"k": self.entry(BASE, [0.004] * 5)})
+        verdict = verdict_of(evaluate_gate([base, new]), "k")
+        assert verdict.verdict == OK and verdict.ratio == 1.0
+        assert "rescaled" not in verdict.note
+
+
 class TestDiffLines:
     def test_table_lists_kernels_and_ratio(self):
         lines = diff_lines(
