@@ -13,12 +13,7 @@ implementations in :mod:`repro.cpu.reference`:
   enum-dict reference;
 * **fig10_campaign** — wall-clock of the Figure 10 per-group
   correlation campaign (the ``reproduce-all --only fig10_correlation``
-  workload) on optimized vs reference cores;
-* **snapshot_capture / snapshot_apply / snapshot_dense_load** — the
-  ``HardwareSnapshot`` round-trip that the sweep-scale batch planner
-  put on the per-lane hot path: every packed lane starts from a
-  captured snapshot, and every engine (or lane range) loads its dense
-  image; the memoized image is timed against a cold per-load rebuild.
+  workload) on optimized vs reference cores.
 
 Every timing is **best-of-N** (N = ``REPS`` >= 5) through
 :func:`repro.perf.benchsuite.best_of`: each repetition rebuilds the
@@ -37,7 +32,6 @@ from __future__ import annotations
 import pathlib
 import random
 
-import numpy as np
 import pytest
 
 from repro.benchio import write_bench_json
@@ -57,7 +51,6 @@ from repro.cpu.reference import (
     ReferenceSetAssociativeCache,
 )
 from repro.cpu.regions import AddressSpace
-from repro.cpu.vector import HardwareSnapshot
 from repro.experiments.common import quick_config
 from repro.hpm.counters import CounterBank
 from repro.hpm.events import EVENT_INDEX, Event
@@ -220,107 +213,6 @@ def test_counter_kernel_speedup(bench_json):
     opt = best_of(CounterBank, opt_body, REPS)
     ref = best_of(ReferenceCounterBank, ref_body, REPS)
     _versus("counter_kernel", bench_json, opt, ref, {"increments": n})
-    assert opt["best_s"] < ref["best_s"]
-
-
-def _warmed_core(n_windows: int = 8):
-    """A core with real persistent state to snapshot (not a cold boot)."""
-    core = _build_core(CoreModel)
-    for w in range(n_windows):
-        core.execute_window(w)
-    return core
-
-
-def test_snapshot_capture_apply(bench_json):
-    """``HardwareSnapshot`` capture/apply — the per-lane sweep hot path.
-
-    The batch planner captures one snapshot per campaign and applies it
-    (via the dense image) into every lane of a packed engine, so these
-    two operations now run once per lane of every sweep instead of only
-    on the oracle path.  No reference implementation exists — the entry
-    records absolute per-op cost so the trajectory catches creep.
-    """
-    n_windows = 8
-    n_ops = 100
-
-    # Correctness, untimed: capture -> apply to a fresh core -> recapture
-    # round-trips the complete persistent state.
-    snap = HardwareSnapshot.capture(_warmed_core(n_windows))
-    fresh = _build_core(CoreModel)
-    snap.apply(fresh)
-    assert HardwareSnapshot.capture(fresh).state == snap.state
-
-    cap = best_of(
-        lambda: _warmed_core(n_windows),
-        lambda core: [HardwareSnapshot.capture(core) for _ in range(n_ops)],
-        REPS,
-    )
-    app = best_of(
-        lambda: _build_core(CoreModel),
-        lambda core: [snap.apply(core) for _ in range(n_ops)],
-        REPS,
-    )
-    for name, res in (("snapshot_capture", cap), ("snapshot_apply", app)):
-        bench_json[name] = {
-            "best_s": res["best_s"],
-            "reps_s": res["reps_s"],
-            "spread": res["spread"],
-            "ops": n_ops,
-            "warm_windows": n_windows,
-        }
-        print(
-            f"\n{name}: {res['best_s'] / n_ops * 1e6:.1f}us/op "
-            f"(best of {REPS})"
-        )
-    assert cap["best_s"] > 0 and app["best_s"] > 0
-
-
-def test_snapshot_dense_load_memoization(bench_json):
-    """Memoized dense snapshot images vs a cold python walk per load.
-
-    ``VectorBatchEngine._load_snapshot`` reads the snapshot through
-    ``dense_ways``/``dense_table``; the memo means a snapshot shared by
-    many engines (or many lane ranges of one packed engine) walks its
-    python way lists once.  The reference side rebuilds a fresh
-    ``HardwareSnapshot`` wrapper per load, defeating the memo.
-    """
-    core = _warmed_core(8)
-    snap = HardwareSnapshot.capture(core)
-    t = core.translation
-    geoms = [
-        ("l1i", core.memory.l1i),
-        ("l1d", core.memory.l1d),
-        ("ierat", t.ierat.cache),
-        ("derat", t.derat.cache),
-        ("tlb", t.tlb.cache),
-    ]
-    n_loads = 200
-
-    def load_once(s):
-        for name, cache in geoms:
-            s.dense_ways(name, cache.n_sets, cache.associativity)
-        s.dense_table("dir", np.int8)
-        s.dense_table("tgt", np.int64)
-
-    # The memoized image must be identical to a cold rebuild.
-    cold = HardwareSnapshot(snap.state)
-    for name, cache in geoms:
-        warm_img = snap.dense_ways(name, cache.n_sets, cache.associativity)
-        cold_img = cold.dense_ways(name, cache.n_sets, cache.associativity)
-        assert np.array_equal(warm_img[0], cold_img[0])
-        assert np.array_equal(warm_img[1], cold_img[1])
-
-    def warm_body(s):
-        for _ in range(n_loads):
-            load_once(s)
-
-    def cold_body(state):
-        for _ in range(n_loads):
-            load_once(HardwareSnapshot(state))
-
-    opt = best_of(lambda: HardwareSnapshot(snap.state), warm_body, REPS)
-    ref = best_of(lambda: snap.state, cold_body, REPS)
-    _versus("snapshot_dense_load", bench_json, opt, ref, {"loads": n_loads})
     assert opt["best_s"] < ref["best_s"]
 
 

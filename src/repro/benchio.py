@@ -18,11 +18,9 @@ sweep stats, the ``repro bench`` suite) goes through
   per-kernel relative spread ``(max - min) / min`` of those
   repetitions, so a reader can tell a real regression from noise.
 
-Schema 1 (the pre-observatory envelope: ``schema``/``kind``/``host``
-only) is still readable: :func:`read_bench_payload` normalizes old
-committed files to the schema-2 shape, defaulting the provenance
-fields.  The envelope is regression-tested in
-``tests/obs/test_benchio.py``.
+:func:`read_bench_payload` accepts only the current schema; older
+envelopes are rejected rather than half-parsed.  The envelope is
+regression-tested in ``tests/obs/test_benchio.py``.
 """
 
 from __future__ import annotations
@@ -41,15 +39,6 @@ BENCH_SCHEMA = 2
 RESERVED_KEYS = frozenset(
     {"schema", "kind", "host", "git_describe", "recorded_at", "repetitions", "spread"}
 )
-
-#: Defaults filled in when reading a schema-1 envelope.
-_SCHEMA_1_DEFAULTS: Dict[str, object] = {
-    "git_describe": "unknown",
-    "recorded_at": None,
-    "repetitions": 1,
-    "spread": {},
-}
-
 
 def bench_payload(
     results: Dict[str, object],
@@ -82,23 +71,15 @@ def bench_payload(
 
 
 def read_bench_payload(doc: Mapping[str, object]) -> Dict[str, object]:
-    """Normalize an envelope document to the schema-2 shape.
+    """Read back an envelope document (copied).
 
-    Schema-2 documents pass through (copied); schema-1 documents — the
-    old committed BENCH files — gain the schema-2 provenance fields
-    with explicit defaults.  Anything else is rejected rather than
-    half-parsed.
+    Only the current schema is accepted; anything else is rejected
+    rather than half-parsed.
     """
     schema = doc.get("schema")
-    if schema == BENCH_SCHEMA:
-        return dict(doc)
-    if schema == 1:
-        migrated = dict(doc)
-        migrated["schema"] = BENCH_SCHEMA
-        for key, default in _SCHEMA_1_DEFAULTS.items():
-            migrated.setdefault(key, default)
-        return migrated
-    raise ValueError(f"unsupported bench envelope schema: {schema!r}")
+    if schema != BENCH_SCHEMA:
+        raise ValueError(f"unsupported bench envelope schema: {schema!r}")
+    return dict(doc)
 
 
 def bench_results(payload: Mapping[str, object]) -> Dict[str, object]:
@@ -127,5 +108,5 @@ def write_bench_json(
 
 
 def read_bench_json(path: Union[str, Path]) -> Dict[str, object]:
-    """Load and normalize one ``BENCH_*.json`` file (schema 1 or 2)."""
+    """Load one ``BENCH_*.json`` file (schema 2)."""
     return read_bench_payload(json.loads(Path(path).read_text()))

@@ -36,10 +36,7 @@ Commands::
     service-index  artifact-index maintenance: stats / jobs / rebuild
 
 Every command accepts ``--scale quick|bench|full`` (default ``quick``)
-and ``--seed N``.  Simulation commands also accept
-``--engine fused|reference|vector`` to pick the window-execution
-engine (see :mod:`repro.cpu.engine`; ``vector`` batches windows on the
-columnar engine).  ``characterize``, ``figure`` and ``reproduce-all``
+and ``--seed N``.  ``characterize``, ``figure`` and ``reproduce-all``
 also accept ``--trace-json FILE`` to run under an observability
 session and export the span trace plus a run manifest.
 """
@@ -51,7 +48,6 @@ import sys
 from typing import List, Optional
 
 from repro.config import ExperimentConfig
-from repro.cpu.engine import ENGINES, set_default_engine
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -360,7 +356,6 @@ def cmd_reproduce_all(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             journal=args.resume,
             policy=policy,
-            packed=args.packed,
         )
     except ValueError as exc:
         print(exc)
@@ -607,17 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="load the experiment config from a JSON manifest "
         "(overrides --scale/--seed)",
     )
-    common.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="window-execution engine: fused (default), reference "
-        "(the pinned pre-optimization core), or vector (the columnar "
-        "batch engine; per-window RNG forks from a shared warm "
-        "snapshot — statistically equivalent, not bit-identical, to "
-        "the serial sweep).  Also settable via $REPRO_ENGINE; the "
-        "flag wins and is inherited by worker processes",
-    )
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -756,21 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
         "comma-separate (e.g. --only fig02_throughput,fig03_gc)",
     )
     everything.add_argument(
-        "--packed",
-        action="store_true",
-        help="route window campaigns through the sweep batch planner: "
-        "demands are deduplicated, sharded over the pool, packed into "
-        "shared cross-config vector batches and scattered back "
-        "(forces the vector engine; the report is byte-identical to "
-        "a serial --engine vector sweep)",
-    )
-    everything.add_argument(
         "--stats-json",
         metavar="FILE",
         default=None,
         help="also write wall-clock / per-experiment / cache-counter "
-        "stats as JSON (schema 3: includes attempts/retries/timed_out "
-        "and packed-sweep batch/lane accounting)",
+        "stats as JSON (schema 4: includes per-experiment "
+        "attempts/retries/timed_out)",
     )
     everything.add_argument(
         "--resume",
@@ -1151,10 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "engine", None) is not None:
-        # Written to $REPRO_ENGINE (not just process state) so the
-        # supervised pool and per-group correlation workers inherit it.
-        set_default_engine(args.engine)
     return args.handler(args)
 
 

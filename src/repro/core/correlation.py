@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.engine import default_engine
 from repro.hpm.counters import CounterSnapshot
 from repro.hpm.events import BASE_EVENTS, Event
 from repro.hpm.groups import CounterGroup, default_catalog
@@ -213,71 +212,6 @@ def _sample_group_task(task) -> List[HpmSample]:
     return hpm.sample_group(group_name, indices)
 
 
-def run_group_campaign_batched(
-    config,
-    windows_per_group: int,
-    start_window: int = 0,
-    stride: int = 1,
-    include_kernel: bool = False,
-) -> Optional[CpiCorrelationReport]:
-    """The Figure 10 campaign with each group's windows as one batch.
-
-    The vector-engine realization of :func:`run_group_campaign`: every
-    counter group still gets its own warmed core
-    (:meth:`~repro.core.characterization.Characterization.group_core`,
-    same group-named RNG forks), but instead of stepping its windows
-    serially — hardware state and RNG positions carrying from window
-    to window — the group's whole stretch runs as lanes of one
-    :class:`~repro.cpu.vector.VectorBatchEngine` from the warmed
-    core's snapshot, each lane on its own per-window fork
-    (``cpu.vec.corr.<group>.w<index>``).  A different but
-    statistically equivalent realization of the same campaign; the
-    distribution-equivalence tests and the conformance bands guard the
-    claim.  Returns ``None`` when any group core is ineligible for the
-    batch engine, so callers can fall back to the serial campaign.
-    """
-    from repro.core.characterization import Characterization
-    from repro.cpu.vector import (
-        HardwareSnapshot,
-        VectorBatchEngine,
-        vector_supported,
-    )
-
-    if windows_per_group < 3:
-        raise ValueError("need at least 3 windows per group")
-    study = Characterization(config, include_kernel=include_kernel)
-    interval = config.sampling.window_interval_s
-    report = CpiCorrelationReport()
-    for k, group in enumerate(default_catalog()):
-        core = study.group_core(group.name)
-        ok, _reason = vector_supported(core, study.space)
-        if not ok:
-            return None
-        base = start_window + k * windows_per_group * stride
-        indices = [base + j * stride for j in range(windows_per_group)]
-        descriptors = [core.schedule.descriptor_for(w) for w in indices]
-        root = study._rngs.fork(f"cpu.vec.corr.{group.name}")
-        lanes = [
-            (desc, root.fork(f"w{w}"))
-            for desc, w in zip(descriptors, indices)
-        ]
-        snapshot = HardwareSnapshot.capture(core)
-        engine = VectorBatchEngine(
-            config.machine, study.space, config.sampling, lanes, snapshot
-        )
-        samples = [
-            HpmSample(
-                window_index=w,
-                time_s=w * interval,
-                group_name=group.name,
-                snapshot=snap.restricted_to(group.events),
-            )
-            for w, snap in zip(indices, engine.run())
-        ]
-        _fold_group(report, group, samples)
-    return report
-
-
 def run_group_campaign(
     config,
     windows_per_group: int,
@@ -298,24 +232,9 @@ def run_group_campaign(
             in-process.  Results are merged in catalog order either
             way, so the report is byte-identical regardless of ``jobs``.
         include_kernel: forwarded to the per-group characterizations.
-
-    Under the ``vector`` engine the campaign dispatches to
-    :func:`run_group_campaign_batched` (``jobs`` is moot — the batch
-    engine's lane parallelism replaces the process pool), falling back
-    to the serial/pool path when a group core is ineligible.
     """
     if windows_per_group < 3:
         raise ValueError("need at least 3 windows per group")
-    if default_engine() == "vector":
-        batched = run_group_campaign_batched(
-            config,
-            windows_per_group,
-            start_window=start_window,
-            stride=stride,
-            include_kernel=include_kernel,
-        )
-        if batched is not None:
-            return batched
     catalog = default_catalog()
     groups = list(catalog)
     tasks = [

@@ -56,29 +56,6 @@ def simulate(
 
 
 @dataclass(frozen=True)
-class WindowDemand:
-    """One window campaign an experiment will request, named upfront.
-
-    Experiment modules export ``window_demands(config, **run_kwargs)``
-    returning the demands their ``run()`` would issue through
-    :meth:`Characterization.sample_window_list` — the contract the
-    sweep planner (:mod:`repro.experiments.batchplan`) uses to
-    precompute campaigns in pool workers, packed across configs into
-    shared vector batches.  The recipe grammar is ``hw:<start>:<n>``
-    (:func:`hw_recipe`) and ``seg:<start>:<n_mutator>:<n_gc_events>``
-    (:func:`repro.experiments.hpm_segment.seg_recipe`).
-    """
-
-    config: ExperimentConfig
-    recipe: str
-
-
-def hw_recipe(n: int, start: int = 0) -> str:
-    """The window-store recipe naming one ``sample_windows`` campaign."""
-    return f"hw:{start}:{n}"
-
-
-@dataclass(frozen=True)
 class Row:
     """One line of a paper-vs-measured table."""
 

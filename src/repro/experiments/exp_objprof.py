@@ -16,10 +16,9 @@ What "good" looks like:
 * each object-centric what-if's simulated CPI moves in the estimated
   direction (same tolerance discipline as ``exp_whatif``).
 
-The profiled windows run on the serial core (the vector engine
-declines profiled batches) and bypass the run cache, so this
-experiment is slower per window than the others — the default window
-budget is accordingly smaller.
+The profiled run bypasses the run cache, so this experiment is slower
+per window than the others — the default window budget is accordingly
+smaller.
 """
 
 from __future__ import annotations
@@ -202,7 +201,7 @@ def run(
         result.estimates[scenario.name] = scenario.estimate(hw, latencies)
     if validate:
         # Outside the profiling session: the enhanced runs use the
-        # normal cache + engine paths.
+        # normal run-cache path.
         n_validate = (
             validate_windows
             if validate_windows is not None

@@ -121,14 +121,3 @@ def run(
         r_cpi_gc=r_cpi,
         r_spec_gc=r_spec,
     )
-
-
-def window_demands(
-    config=None, n_mutator: int = 80, n_gc_events: int = 3
-):
-    """The window campaigns :func:`run` issues (for the sweep planner)."""
-    from repro.experiments.common import WindowDemand
-    from repro.experiments.hpm_segment import seg_recipe
-
-    config = config if config is not None else bench_config()
-    return [WindowDemand(config, seg_recipe(n_mutator, n_gc_events))]

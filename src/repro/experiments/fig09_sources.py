@@ -120,31 +120,6 @@ def _source_shares(config: ExperimentConfig, hw_windows: int) -> HardwareSummary
     return HardwareSummary.from_snapshots([s.snapshot for s in samples])
 
 
-def _contrast_configs(config: ExperimentConfig):
-    """The two contrast configs: a TPC-W-like run and a 1-MCM topology.
-
-    Shared between :func:`run` and :func:`window_demands` so the sweep
-    planner enumerates exactly the campaigns :func:`run` will request.
-    """
-    tpcw = tpcw_like(duration_s=min(600.0, config.workload.duration_s))
-    tpcw = dataclasses.replace(tpcw, sampling=config.sampling)
-    single_mcm = dataclasses.replace(
-        config,
-        machine=MachineConfig(
-            l1i=config.machine.l1i,
-            l1d=config.machine.l1d,
-            translation=config.machine.translation,
-            branch=config.machine.branch,
-            prefetcher=config.machine.prefetcher,
-            latencies=config.machine.latencies,
-            topology=TopologyConfig(
-                n_mcms=1, live_chips_per_mcm=2, cores_per_chip=2
-            ),
-        ),
-    )
-    return tpcw, single_mcm
-
-
 def run(
     config: Optional[ExperimentConfig] = None,
     hw_windows: int = 60,
@@ -156,10 +131,25 @@ def run(
     tpcw_modified = None
     l25 = None
     if with_contrasts:
-        tpcw, single_mcm = _contrast_configs(config)
+        tpcw = tpcw_like(duration_s=min(600.0, config.workload.duration_s))
+        tpcw = dataclasses.replace(tpcw, sampling=config.sampling)
         tpcw_hw = _source_shares(tpcw, max(20, hw_windows // 2))
         tpcw_modified = tpcw_hw.modified_remote_share
 
+        single_mcm = dataclasses.replace(
+            config,
+            machine=MachineConfig(
+                l1i=config.machine.l1i,
+                l1d=config.machine.l1d,
+                translation=config.machine.translation,
+                branch=config.machine.branch,
+                prefetcher=config.machine.prefetcher,
+                latencies=config.machine.latencies,
+                topology=TopologyConfig(
+                    n_mcms=1, live_chips_per_mcm=2, cores_per_chip=2
+                ),
+            ),
+        )
         mcm_hw = _source_shares(single_mcm, max(20, hw_windows // 2))
         l25 = mcm_hw.data_source_shares.get(
             DataSource.L25_SHR, 0.0
@@ -171,18 +161,3 @@ def run(
         tpcw_modified_share=tpcw_modified,
         l25_single_mcm=l25,
     )
-
-
-def window_demands(
-    config=None, hw_windows: int = 60, with_contrasts: bool = True
-):
-    """The window campaigns :func:`run` issues (for the sweep planner)."""
-    from repro.experiments.common import WindowDemand, hw_recipe
-
-    config = config if config is not None else bench_config()
-    demands = [WindowDemand(config, hw_recipe(hw_windows))]
-    if with_contrasts:
-        contrast_recipe = hw_recipe(max(20, hw_windows // 2))
-        for contrast in _contrast_configs(config):
-            demands.append(WindowDemand(contrast, contrast_recipe))
-    return demands

@@ -57,66 +57,23 @@ class Segment:
         return fn(agg)
 
 
-def segment_windows(
-    schedule, n_mutator: int, n_gc_events: int, start: int
-) -> List[int]:
-    """The window indices of one segment campaign, in sampling order.
-
-    ``gc_window_indices`` is RNG-free, so the order is a pure function
-    of the schedule — the batch planner derives the same list from the
-    ``seg:<start>:<n_mutator>:<n_gc_events>`` recipe in a pool worker.
-    """
-    indices = list(range(start, start + n_mutator))
-    gc_indices = [
-        i
-        for i in schedule.gc_window_indices(max_events=n_gc_events)
-        if i not in set(indices)
-    ]
-    return indices + gc_indices
-
-
-def seg_recipe(n_mutator: int, n_gc_events: int, start: int = 0) -> str:
-    """The window-store recipe naming one segment campaign."""
-    return f"seg:{start}:{n_mutator}:{n_gc_events}"
-
-
 def sample_segment(
     study: Characterization,
     n_mutator: int = 80,
     n_gc_events: int = 3,
     start: int = 0,
 ) -> Segment:
-    """Sample ``n_mutator`` consecutive windows plus GC-pause windows.
-
-    Under the ``vector`` engine an eligible segment runs as one batch
-    campaign (same realization semantics as
-    :meth:`~repro.core.characterization.Characterization.sample_windows`)
-    and can be served from a pre-computed
-    :mod:`~repro.core.windowstore` payload by the sweep planner;
-    ineligible cores keep the serial window loop.
-    """
-    from repro.cpu.engine import default_engine
-
+    """Sample ``n_mutator`` consecutive windows plus GC-pause windows."""
     study.ensure_warm()
     schedule = study.core.schedule
-    order = segment_windows(schedule, n_mutator, n_gc_events, start)
-    if default_engine() == "vector":
-        pairs = study.sample_window_list(
-            order, seg_recipe(n_mutator, n_gc_events, start)
-        )
-        if pairs is not None:
-            return Segment(
-                windows=[
-                    TaggedWindow(
-                        window_index=idx,
-                        snapshot=snap,
-                        gc_fraction=desc.gc_fraction,
-                    )
-                    for idx, (desc, snap) in zip(order, pairs)
-                ]
-            )
+    indices = list(range(start, start + n_mutator))
+    gc_indices = [
+        i
+        for i in schedule.gc_window_indices(max_events=n_gc_events)
+        if i not in set(indices)
+    ]
     windows: List[TaggedWindow] = []
-    for idx in order:
+    for idx in indices + gc_indices:
         descriptor = schedule.descriptor_for(idx)
         snapshot = study.core.execute_window(idx)
         windows.append(

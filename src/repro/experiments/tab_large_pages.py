@@ -124,34 +124,18 @@ def _measure(config: ExperimentConfig, hw_windows: int) -> PageVariant:
     )
 
 
-def _variant_configs(config: ExperimentConfig) -> List[ExperimentConfig]:
-    """The three page-size variants, in measurement order."""
-    return [
-        dataclasses.replace(
-            config,
-            jvm=dataclasses.replace(
-                config.jvm, heap_large_pages=heap_lp, code_large_pages=code_lp
-            ),
-        )
-        for heap_lp, code_lp in ((False, False), (True, False), (True, True))
-    ]
-
-
 def run(
     config: Optional[ExperimentConfig] = None, hw_windows: int = 50
 ) -> LargePagesResult:
     config = config if config is not None else bench_config()
     variants: Dict[str, PageVariant] = {}
-    for cfg in _variant_configs(config):
+    for heap_lp, code_lp in ((False, False), (True, False), (True, True)):
+        cfg = dataclasses.replace(
+            config,
+            jvm=dataclasses.replace(
+                config.jvm, heap_large_pages=heap_lp, code_large_pages=code_lp
+            ),
+        )
         variant = _measure(cfg, hw_windows)
         variants[variant.name] = variant
     return LargePagesResult(config=config, variants=variants)
-
-
-def window_demands(config=None, hw_windows: int = 50):
-    """The window campaigns :func:`run` issues (for the sweep planner)."""
-    from repro.experiments.common import WindowDemand, hw_recipe
-
-    config = config if config is not None else bench_config()
-    recipe = hw_recipe(hw_windows)
-    return [WindowDemand(cfg, recipe) for cfg in _variant_configs(config)]

@@ -143,18 +143,3 @@ def run(
             segment.mean(per_instr(Event.PM_SYNC_CNT), gc) if gc else None
         ),
     )
-
-
-def window_demands(
-    config=None, n_mutator: int = 60, n_gc_events: int = 3
-):
-    """The window campaigns :func:`run` issues (for the sweep planner).
-
-    The privileged-code contrast (`_kernel_sync_fraction`) runs on a
-    dedicated serial core and is not a batchable campaign.
-    """
-    from repro.experiments.common import WindowDemand
-    from repro.experiments.hpm_segment import seg_recipe
-
-    config = config if config is not None else bench_config()
-    return [WindowDemand(config, seg_recipe(n_mutator, n_gc_events))]

@@ -32,16 +32,11 @@ module-level ``_ACTIVE`` and do nothing when it is None, and the
 instrumentation **never draws randomness** and never perturbs float
 accumulation — a profiled run's simulated hardware and GC counters are
 bit-identical to an unprofiled run (asserted by
-``tests/obs/test_determinism.py``).  Two consequences worth knowing:
-
-* the vector batch engine declines profiled batches
-  (:func:`repro.cpu.vector.vector_supported` returns ``(False,
-  "objprof session active")``) so windows degrade to the serial core,
-  which carries the attribution hooks;
-* the run cache is bypassed while a profiler is active
-  (:meth:`repro.runcache.RunCache.get_or_run`) so the SUT genuinely
-  executes and the heap ledger fills — a cache replay would return
-  the stored result without ever constructing a heap.
+``tests/obs/test_determinism.py``).  One consequence worth knowing:
+the run cache is bypassed while a profiler is active
+(:meth:`repro.runcache.RunCache.get_or_run`) so the SUT genuinely
+executes and the heap ledger fills — a cache replay would return the
+stored result without ever constructing a heap.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ reproduction *itself*:
   (``repro perf-gate``): Mann-Whitney over recorded repetition
   samples, warn on small deltas, fail on significant ones;
 * :mod:`repro.perf.cprofile` — the deterministic-callgraph profiler
-  (``repro profile``), migrated here from ``repro.profiling``.
+  (``repro profile``).
 
 Everything here observes; nothing here may perturb the science.  The
 sampler runs on its own thread and only *reads* frames, so a run

@@ -165,99 +165,16 @@ def _cache_builder(accesses: int):
     return setup, body
 
 
-def _batch_builder(kind: str, n_windows: int, window_cycles: int):
-    """One batch of ``n_windows`` independent windows, three ways.
-
-    The same work under each engine: heterogeneous descriptors, one
-    per-window RNG fork each, cold hardware state.  ``vector`` runs
-    them as lanes of one :class:`~repro.cpu.vector.VectorBatchEngine`;
-    ``fused`` and ``reference`` step them serially, a fresh core per
-    window — exactly the oracle the batch engine is bit-identical to.
-    Engine/core construction is *inside* the timed body: the batch
-    engine's table-freezing setup cost is part of its honest price.
-    """
-    from repro.config import JvmConfig, MachineConfig, SamplingConfig
-    from repro.cpu.core_model import CoreModel, StaticSchedule
-    from repro.cpu.phases import (
-        PhaseDescriptor,
-        gc_mark_profile,
-        idle_profile,
-        interpreter_profile,
-        kernel_profile,
-    )
-    from repro.cpu.regions import AddressSpace
-    from repro.util.rng import RngFactory
-
-    machine = MachineConfig()
-    space = AddressSpace.build(machine, JvmConfig())
-    sampling = SamplingConfig(window_cycles=window_cycles)
-
-    def setup():
-        prof_rng = random.Random(7)
-        profiles = [
-            kernel_profile(prof_rng, space),
-            gc_mark_profile(prof_rng, space),
-            idle_profile(prof_rng, space),
-            interpreter_profile(prof_rng, space),
-        ]
-        descriptors = []
-        for i in range(n_windows):
-            f = 0.2 + 0.1 * (i % 3)
-            descriptors.append(
-                PhaseDescriptor(
-                    slices=(
-                        (profiles[i % 4], f),
-                        (profiles[(i + 1) % 4], 0.6 - f),
-                        (profiles[(i + 2) % 4], 0.4),
-                    )
-                )
-            )
-        root = RngFactory(20070323)
-        return [
-            (desc, root.fork(f"w{i}")) for i, desc in enumerate(descriptors)
-        ]
-
-    if kind == "vector":
-        def body(lanes):
-            from repro.cpu.vector import VectorBatchEngine
-
-            VectorBatchEngine(machine, space, sampling, lanes).run()
-    elif kind == "fused":
-        def body(lanes):
-            for desc, fork in lanes:
-                CoreModel(
-                    machine, space, StaticSchedule(desc), sampling, fork
-                ).execute_window(0)
-    else:
-        def body(lanes):
-            from repro.cpu.reference import ReferenceCoreModel
-
-            for desc, fork in lanes:
-                ReferenceCoreModel(
-                    machine, space, StaticSchedule(desc), sampling, fork
-                ).execute_window(0)
-
-    return setup, body
-
-
 def _sweep_builder(
-    packed: bool,
     modules: List[str],
     duration_s: float,
     window_cycles: int,
 ):
-    """A miniature ``reproduce_all`` sweep, packed vs plain fused.
+    """A miniature serial ``reproduce_all`` sweep of a catalog subset.
 
-    The sweep-scale benchmark behind the batch planner: the same
-    catalog subset (figures whose window campaigns dedup into shared
-    cross-config batches) through ``run(..., packed=True)`` vs the
-    plain serial fused sweep.  Every repetition starts from a fresh
-    in-memory run cache, so the sims and campaigns are recomputed —
-    the honest end-to-end cost, not a cache replay.  On a single-core
-    host the packed path's win is campaign deduplication minus the
-    vector engine's dispatch overhead (see docs/performance.md); the
-    trajectory point exists so multi-core hosts record the sharding
-    win and one-core hosts record the honest overhead.
+    The suite's sweep-level point: every repetition starts from a
+    fresh in-memory run cache, so the sims and window campaigns are
+    recomputed — the honest end-to-end cost, not a cache replay.
     """
     import dataclasses
 
@@ -285,7 +202,7 @@ def _sweep_builder(
     def body(cfg):
         from repro.experiments.reproduce_all import run as run_all
 
-        run_all(cfg, only=list(modules), packed=packed)
+        run_all(cfg, only=list(modules))
 
     return setup, body
 
@@ -327,20 +244,8 @@ def run_suite(
     windows, window_cycles = (4, 20000) if quick else (12, 60000)
     accesses = 50_000 if quick else 200_000
     increments = 100_000 if quick else 300_000
-    # Quick stays in the small-batch regime (the fused loop's home
-    # turf); the full tier is wide enough that the vector engine's
-    # per-round dispatch cost is mostly amortized.  Neither tier
-    # reaches the thousands-of-lanes regime documented in
-    # docs/performance.md — these are trajectory anchors, each kernel
-    # gated against its own past, not a headline speedup measurement.
-    batch_windows, batch_cycles = (160, 1200) if quick else (600, 2500)
-    batch_params = {
-        "windows": batch_windows,
-        "window_cycles": batch_cycles,
-    }
-    # The sweep-scale pair: quick keeps two figures at a 60s virtual
-    # run; the full tier adds Figure 9 (two contrast configs, so the
-    # packed path also exercises cross-config packing) at 300s.
+    # The sweep-scale point: quick keeps two figures at a 60s virtual
+    # run; the full tier adds Figure 9 (two contrast configs) at 300s.
     sweep_modules = (
         ["fig05_cpi", "fig07_tlb"]
         if quick
@@ -362,29 +267,8 @@ def run_suite(
             _counter_builder(increments),
             {"increments": increments},
         ),
-        # The batch-sweep trio: identical independent-window work under
-        # the vector engine and its two serial comparators, so every
-        # record carries the measured engine ratios on its own host.
-        "batch_windows_vector": (
-            _batch_builder("vector", batch_windows, batch_cycles),
-            dict(batch_params),
-        ),
-        "batch_windows_fused": (
-            _batch_builder("fused", batch_windows, batch_cycles),
-            dict(batch_params),
-        ),
-        "batch_windows_reference": (
-            _batch_builder("reference", batch_windows, batch_cycles),
-            dict(batch_params),
-        ),
-        # The sweep-scale pair: the batch planner's end-to-end path vs
-        # the plain serial fused sweep of the same catalog subset.
-        "reproduce_all_packed": (
-            _sweep_builder(True, sweep_modules, sweep_duration, sweep_cycles),
-            dict(sweep_params),
-        ),
         "reproduce_all_fused": (
-            _sweep_builder(False, sweep_modules, sweep_duration, sweep_cycles),
+            _sweep_builder(sweep_modules, sweep_duration, sweep_cycles),
             dict(sweep_params),
         ),
     }

@@ -9,8 +9,7 @@ top functions by inclusive and self time.  The sampling counterpart
 (call-stack samples instead of call counts, plus span attribution and
 flamegraph export) lives in :mod:`repro.perf.sampler`.
 
-Used by the ``repro profile`` CLI subcommand; this module migrated
-here from ``repro.profiling``, which remains as a deprecation shim.
+Used by the ``repro profile`` CLI subcommand;
 ``docs/performance-observatory.md`` documents the workflow.
 """
 

@@ -41,9 +41,9 @@ REGRESSED = "regressed"
 
 #: Default thresholds: a significant >= 30% slowdown of a kernel's
 #: best time fails; a significant >= 10% slowdown warns.  (Tightened
-#: from 1.4/1.15 once the batch-engine trio joined the suite: the
-#: best-of-N minima of these kernels replicate well under 10% on one
-#: host, so a real 30% regression is far outside repetition noise.)
+#: from 1.4/1.15: the best-of-N minima of the suite's kernels replicate
+#: well under 10% on one host, so a real 30% regression is far outside
+#: repetition noise.)
 DEFAULT_FAIL_RATIO = 1.3
 DEFAULT_WARN_RATIO = 1.10
 DEFAULT_ALPHA = 0.05
@@ -222,7 +222,7 @@ def compare_records(
             p = mann_whitney_u(base_reps, new_reps).p_greater
             significant = p < alpha
         else:
-            # Single-shot record (schema-1 era): magnitude only, and
+            # Single-shot record (no repetitions): magnitude only, and
             # without a distribution it can never *fail* the gate.
             p = None
             significant = False

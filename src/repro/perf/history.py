@@ -50,7 +50,7 @@ def append_record(
 def read_history(
     path: Union[str, Path], kind: Optional[str] = None
 ) -> List[Dict[str, object]]:
-    """All records of the trajectory, oldest first, schema-normalized.
+    """All records of the trajectory, oldest first, schema-checked.
 
     Missing file means an empty history (a fresh checkout before the
     first ``repro bench``), not an error.  Blank lines are tolerated;

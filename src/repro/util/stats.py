@@ -160,62 +160,6 @@ def mann_whitney_u(xs: Sequence[float], ys: Sequence[float]) -> MannWhitneyResul
     return MannWhitneyResult(u=u_y, p_greater=p, n_x=n_x, n_y=n_y)
 
 
-@dataclass(frozen=True)
-class KsResult:
-    """Two-sample Kolmogorov-Smirnov test (two-sided)."""
-
-    #: Largest absolute gap between the two empirical CDFs.
-    statistic: float
-    #: Asymptotic two-sided p-value (Kolmogorov distribution with the
-    #: Stephens small-sample correction).
-    p_value: float
-    n_x: int
-    n_y: int
-
-
-def ks_2samp(xs: Sequence[float], ys: Sequence[float]) -> KsResult:
-    """Two-sample KS test: are ``xs`` and ``ys`` one distribution?
-
-    The distribution-equivalence guard for the vector batch engine:
-    a per-window metric series from the serial sweep and the same
-    series from the batch realization must be indistinguishable as
-    *distributions* even though the realizations differ window by
-    window.  The D statistic is exact; the p-value uses the asymptotic
-    Kolmogorov distribution with Stephens' ``(sqrt(ne) + 0.12 +
-    0.11/sqrt(ne))`` effective-sample correction, accurate enough for
-    the n >= ~25 samples the equivalence tests feed it.
-
-    Raises:
-        ValueError: if either sample is empty.
-    """
-    if not xs or not ys:
-        raise ValueError("ks_2samp needs two non-empty samples")
-    n_x, n_y = len(xs), len(ys)
-    sx, sy = sorted(xs), sorted(ys)
-    d = 0.0
-    i = j = 0
-    # Walk the pooled distinct values; the CDF gap is only meaningful
-    # after *all* duplicates of a value are consumed from both sides.
-    while i < n_x and j < n_y:
-        v = min(sx[i], sy[j])
-        while i < n_x and sx[i] == v:
-            i += 1
-        while j < n_y and sy[j] == v:
-            j += 1
-        d = max(d, abs(i / n_x - j / n_y))
-    ne = math.sqrt(n_x * n_y / (n_x + n_y))
-    lam = (ne + 0.12 + 0.11 / ne) * d
-    if lam <= 0.0:
-        return KsResult(statistic=d, p_value=1.0, n_x=n_x, n_y=n_y)
-    p = 2.0 * math.fsum(
-        (-1.0) ** (k - 1) * math.exp(-2.0 * (k * lam) ** 2)
-        for k in range(1, 101)
-    )
-    return KsResult(
-        statistic=d, p_value=max(0.0, min(1.0, p)), n_x=n_x, n_y=n_y
-    )
-
-
 def bootstrap_ci_mean(
     values: Sequence[float],
     confidence: float = 0.95,

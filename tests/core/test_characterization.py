@@ -1,12 +1,18 @@
 """End-to-end tests for the characterization orchestrator, the rule
 base, and the report renderer."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.characterization import HardwareSummary
+from repro.config import SamplingConfig
+from repro.core.characterization import Characterization, HardwareSummary
 from repro.core.insights import derive_findings
 from repro.core.report import render_lines, render_report
+from repro.cpu.reference import ReferenceCoreModel
 from repro.cpu.sources import DataSource, InstSource
+from repro.hpm.groups import default_catalog
+from repro.workload.presets import jas2004
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +47,29 @@ class TestHardwareSummary:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             HardwareSummary.from_snapshots([])
+
+
+class TestCoreModelSeam:
+    def test_rebound_class_builds_every_core(self):
+        # The benchmarks reach the oracle by rebinding core_model_cls
+        # on a subclass; both the shared core and the per-group cores
+        # must honour it.  A tiny config keeps this well under 1 s.
+        cfg = jas2004(duration_s=30.0, seed=2007)
+        cfg = dataclasses.replace(
+            cfg,
+            jvm=dataclasses.replace(
+                cfg.jvm, n_jited_methods=200, warm_methods=10
+            ),
+            sampling=SamplingConfig(window_cycles=2000, warmup_windows=1),
+        )
+
+        class Pinned(Characterization):
+            core_model_cls = ReferenceCoreModel
+
+        study = Pinned(cfg)
+        first_group = next(iter(default_catalog())).name
+        assert type(study.core) is ReferenceCoreModel
+        assert type(study.group_core(first_group)) is ReferenceCoreModel
 
 
 class TestCharacterizationReport:

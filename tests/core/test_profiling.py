@@ -1,23 +1,12 @@
 """Smoke tests for the profiling harness and the ``repro profile`` CLI."""
 
-import importlib
 import json
-import sys
 
 import pytest
 
 from repro.cli import main
 from repro.experiments.common import quick_config
 from repro.perf.cprofile import profile_windows
-
-
-class TestDeprecationShim:
-    def test_old_import_path_still_works_and_warns(self):
-        sys.modules.pop("repro.profiling", None)
-        with pytest.warns(DeprecationWarning, match="repro.perf"):
-            shim = importlib.import_module("repro.profiling")
-        # Same objects, not copies: patching one patches both.
-        assert shim.profile_windows is profile_windows
 
 
 class TestProfileWindows:

@@ -93,19 +93,6 @@ class TestMemoryTier:
         # Different RNG namespaces draw different randomness.
         assert plain.responses != forked.responses
 
-    def test_put_seeds_the_memory_tier(self, tmp_path):
-        # The batch planner scatters worker-computed results back into
-        # the parent cache; the next get_or_run must be a pure hit.
-        cfg = small_config()
-        result = RunCache().get_or_run(cfg, rng_fork="workload")
-        cache = RunCache(disk_dir=tmp_path)
-        key = cache.put(cfg, result, rng_fork="workload")
-        assert key == config_key(cfg, "workload")
-        assert cache.get_or_run(cfg, rng_fork="workload") is result
-        assert cache.stats.hits == 1 and cache.stats.misses == 0
-        # Memory tier only: put never writes the disk tier.
-        assert list(tmp_path.iterdir()) == []
-
 
 class TestDiskTier:
     def test_shared_across_cache_instances(self, tmp_path):

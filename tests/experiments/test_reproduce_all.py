@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.reproduce_all import (
     CATALOG,
     SWEEP_STATS_SCHEMA,
-    ReproduceAllResult,
     ReproductionRecord,
     load_stats_dict,
     run,
@@ -101,31 +100,12 @@ class TestStatsSchema:
         reloaded = load_stats_dict(json.loads(json.dumps(stats)))
         assert reloaded == stats
 
-    def test_v1_document_migrates_with_defaults(self):
-        legacy = {
-            "wall_clock_s": 12.5,
-            "jobs": 4,
-            "experiments": 1,
-            "per_experiment": {
-                "fig03_gc": {"seconds": 12.5, "rows": 5, "off": 0}
-            },
-        }
-        migrated = load_stats_dict(legacy)
-        assert migrated["schema"] == SWEEP_STATS_SCHEMA
-        assert migrated["resumed"] == []
-        assert migrated["pool_failures"] == 0
-        assert migrated["degraded"] is False
-        entry = migrated["per_experiment"]["fig03_gc"]
-        assert entry["attempts"] == 1
-        assert entry["retries"] == 0
-        assert entry["timed_out"] == 0
-        # Original fields survive; the input is not mutated.
-        assert entry["seconds"] == 12.5
-        assert "schema" not in legacy
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError):
-            load_stats_dict({"schema": 99})
+    @pytest.mark.parametrize("schema", [None, 2, 3, 99])
+    def test_unknown_schema_rejected(self, schema):
+        # Only the current schema reads back; v1 (no key), v2 and v3
+        # are not migrated.
+        with pytest.raises(ValueError, match="schema"):
+            load_stats_dict({"schema": schema, "per_experiment": {}})
 
 
 class TestJournalRecordRoundTrip:
@@ -159,100 +139,6 @@ class TestJournalRecordRoundTrip:
         assert record.attempts == 1
         assert record.retries == 0
         assert record.timed_out == 0
-
-
-class TestPackedStats:
-    def test_schema_2_document_gains_pack_defaults(self):
-        legacy = {
-            "schema": 2,
-            "wall_clock_s": 5.0,
-            "jobs": 2,
-            "experiments": 1,
-            "resumed": [],
-            "pool_failures": 0,
-            "degraded": False,
-            "per_experiment": {},
-        }
-        migrated = load_stats_dict(legacy)
-        assert migrated["schema"] == SWEEP_STATS_SCHEMA
-        assert migrated["packed"] is False
-        assert migrated["batches"] == []
-        assert migrated["planned_lanes"] == 0
-        assert migrated["packed_lanes"] == 0
-        assert migrated["pack_efficiency"] == 1.0
-        assert "packed" not in legacy
-
-    def test_v1_document_gains_pack_defaults_too(self):
-        migrated = load_stats_dict(
-            {"wall_clock_s": 1.0, "jobs": 1, "experiments": 0,
-             "per_experiment": {}}
-        )
-        assert migrated["packed"] is False
-        assert migrated["pack_efficiency"] == 1.0
-
-    def test_unpacked_stats_carry_pack_fields(self):
-        result = run(make_quick_config(), only=["fig03_gc"])
-        stats = result.stats_dict()
-        assert stats["packed"] is False
-        assert stats["planned_lanes"] == 0
-        assert stats["pack_efficiency"] == 1.0
-
-    def test_pack_efficiency_property(self):
-        result = ReproduceAllResult(
-            config=make_quick_config(),
-            records={},
-            total_seconds=0.0,
-            packed=True,
-            planned_lanes=200,
-            packed_lanes=150,
-        )
-        assert result.pack_efficiency == pytest.approx(0.75)
-        result.planned_lanes = 0
-        assert result.pack_efficiency == 1.0
-
-
-@pytest.mark.slow
-class TestPackedSweep:
-    """The batch planner is scheduling only: reports stay byte-identical
-    to a serial ``--engine vector`` sweep of the same config."""
-
-    SUBSET = ["fig05_cpi", "fig07_tlb", "fig03_gc"]
-
-    @pytest.fixture(scope="class")
-    def serial_vector(self):
-        from repro.cpu.engine import set_default_engine
-
-        set_default_engine("vector")
-        try:
-            return run(make_quick_config(), only=self.SUBSET)
-        finally:
-            set_default_engine(None)
-
-    @pytest.fixture(scope="class")
-    def packed(self):
-        return run(make_quick_config(), only=self.SUBSET, packed=True)
-
-    def test_report_byte_identical_to_serial_vector(
-        self, serial_vector, packed
-    ):
-        assert packed.render_lines(include_timing=False) == (
-            serial_vector.render_lines(include_timing=False)
-        )
-
-    def test_packed_accounting_present(self, packed):
-        assert packed.packed is True
-        assert packed.engine == "vector"
-        # figs 5 and 7 share one deduplicated segment campaign.
-        assert packed.planned_lanes > 0
-        assert packed.packed_lanes == packed.planned_lanes
-        assert len(packed.batches) >= 1
-        stats = packed.stats_dict()
-        assert stats["packed"] is True
-        assert stats["pack_efficiency"] == 1.0
-        assert stats["batches"][0]["lanes"] > 0
-
-    def test_records_in_catalog_order(self, serial_vector, packed):
-        assert list(packed.records) == list(serial_vector.records)
 
 
 @pytest.mark.slow

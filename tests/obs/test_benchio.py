@@ -87,20 +87,8 @@ class TestReader:
         assert back == payload
         assert back is not payload  # a copy, not an alias
 
-    def test_schema_1_migrates_with_defaults(self):
-        old = {"schema": 1, "kind": "k", "host": host_fingerprint(), "a": 1}
-        migrated = read_bench_payload(old)
-        assert migrated["schema"] == BENCH_SCHEMA
-        assert migrated["git_describe"] == "unknown"
-        assert migrated["recorded_at"] is None
-        assert migrated["repetitions"] == 1
-        assert migrated["spread"] == {}
-        assert migrated["a"] == 1
-        # The source document is not mutated by migration.
-        assert old["schema"] == 1
-
     def test_unknown_schema_rejected(self):
-        for schema in (0, 3, "2", None):
+        for schema in (0, 1, 3, "2", None):
             with pytest.raises(ValueError, match="schema"):
                 read_bench_payload({"schema": schema, "kind": "k"})
 
@@ -127,15 +115,6 @@ class TestWriter:
         assert doc["repetitions"] == 5
         assert doc["spread"] == {"kernel": 0.02}
         assert set(doc["host"]) == {"python", "implementation", "platform", "machine"}
-
-    def test_read_bench_json_normalizes_schema_1_files(self, tmp_path):
-        path = tmp_path / "BENCH_old.json"
-        path.write_text(
-            json.dumps({"schema": 1, "kind": "k", "host": {}, "a": 1})
-        )
-        doc = read_bench_json(path)
-        assert doc["schema"] == BENCH_SCHEMA
-        assert doc["repetitions"] == 1
 
     def test_read_bench_json_roundtrip(self, tmp_path):
         written = write_bench_json(

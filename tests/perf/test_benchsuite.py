@@ -63,10 +63,6 @@ class TestRunSuite:
             "cache_kernel",
             "counter_kernel",
             "window_execution",
-            "batch_windows_vector",
-            "batch_windows_fused",
-            "batch_windows_reference",
-            "reproduce_all_packed",
             "reproduce_all_fused",
         }
         for entry in results.values():
@@ -75,23 +71,11 @@ class TestRunSuite:
         # Size parameters travel with the measurement.
         assert results["window_execution"]["windows"] == 4
         assert results["cache_kernel"]["accesses"] == 50_000
-        # The batch trio measures identical work under all three engines.
-        assert (
-            results["batch_windows_vector"]["windows"]
-            == results["batch_windows_fused"]["windows"]
-            == results["batch_windows_reference"]["windows"]
-            == 160
-        )
-        # The sweep pair measures the same catalog subset and scale.
-        assert (
-            results["reproduce_all_packed"]["modules"]
-            == results["reproduce_all_fused"]["modules"]
-            == ["fig05_cpi", "fig07_tlb"]
-        )
-        assert (
-            results["reproduce_all_packed"]["duration_s"]
-            == results["reproduce_all_fused"]["duration_s"]
-        )
+        assert results["reproduce_all_fused"]["modules"] == [
+            "fig05_cpi",
+            "fig07_tlb",
+        ]
+        assert results["reproduce_all_fused"]["duration_s"] == 60.0
 
     def test_repetition_floor_enforced(self):
         with pytest.raises(ValueError, match=">= 5"):

@@ -69,14 +69,12 @@ class TestAppendRead:
         suite = read_history(path, kind="perf_suite")
         assert [r.get("a", r.get("c")) for r in suite] == [1, 3]
 
-    def test_schema_1_lines_migrated(self, tmp_path):
+    def test_schema_1_lines_rejected(self, tmp_path):
         path = tmp_path / "hist.jsonl"
         old = {"schema": 1, "kind": "k", "host": host_fingerprint(), "a": 1}
         path.write_text(json.dumps(old) + "\n")
-        records = read_history(path)
-        assert records[0]["schema"] == BENCH_SCHEMA
-        assert records[0]["git_describe"] == "unknown"
-        assert records[0]["repetitions"] == 1
+        with pytest.raises(ValueError, match="schema"):
+            read_history(path)
 
 
 def _record(host=None, tag="r"):
