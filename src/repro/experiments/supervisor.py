@@ -230,10 +230,23 @@ def supervise(
                 # starts (and its timeout clock means) immediately.
                 while queue and len(in_flight) < workers:
                     i = queue.popleft()
-                    future = pool.submit(fn, tasks[i])
+                    try:
+                        future = pool.submit(fn, tasks[i])
+                    except BrokenProcessPool:
+                        # A worker died before this submit: the task
+                        # never ran, so it goes back uncharged, and the
+                        # in-flight tasks were lost as in a crash.
+                        queue.appendleft(i)
+                        for j in sorted(in_flight.values()):
+                            failures.append((j, _CRASH, None))
+                        in_flight.clear()
+                        teardown = True
+                        break
                     in_flight[future] = i
                     if policy.task_timeout_s is not None:
                         deadlines[future] = time.monotonic() + policy.task_timeout_s
+                if teardown:
+                    break
                 poll = 0.25
                 if deadlines:
                     poll = min(

@@ -7,7 +7,9 @@ absolute timings suitable for a *trajectory*: every kernel runs N
 repetitions (identical work each time; stateful structures are rebuilt
 outside the timed region) and the full repetition sample is recorded,
 so downstream consumers (``repro perf-diff``, ``repro perf-gate``) can
-separate drift from noise instead of trusting one number.
+separate drift from noise instead of trusting one number.  Two larger
+kernels sit beside them: ``sut_tick_loop`` times one SUT run (the
+workload layer alone) and ``reproduce_all_fused`` a miniature sweep.
 
 Single-shot timing was the original sin the observatory fixes: a
 one-measurement ``speedup`` moves with scheduler jitter alone.  Here
@@ -207,6 +209,24 @@ def _sweep_builder(
     return setup, body
 
 
+def _sut_builder(duration_s: float):
+    """One fresh ``SystemUnderTest(jas2004(...)).run()`` per repetition.
+
+    The run cache is not consulted, so every repetition simulates the
+    whole tick loop.
+    """
+    from repro.workload.presets import jas2004
+    from repro.workload.sut import SystemUnderTest
+
+    def setup():
+        return SystemUnderTest(jas2004(duration_s=duration_s, seed=2007))
+
+    def body(sut):
+        sut.run()
+
+    return setup, body
+
+
 def _counter_builder(increments: int):
     from repro.hpm.counters import CounterBank
     from repro.hpm.events import EVENT_INDEX, Event
@@ -257,6 +277,8 @@ def run_suite(
         "duration_s": sweep_duration,
         "window_cycles": sweep_cycles,
     }
+    # One SUT run on its own: the workload layer without window work.
+    sut_duration = 30.0 if quick else 600.0
     catalog = {
         "window_execution": (
             _core_builder(windows, window_cycles),
@@ -271,6 +293,7 @@ def run_suite(
             _sweep_builder(sweep_modules, sweep_duration, sweep_cycles),
             dict(sweep_params),
         ),
+        "sut_tick_loop": (_sut_builder(sut_duration), {"duration_s": sut_duration}),
     }
     chosen = kernels if kernels is not None else sorted(catalog)
     unknown = sorted(set(chosen) - set(catalog))

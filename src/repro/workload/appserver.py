@@ -115,6 +115,11 @@ class AppServer:
         self.io_blocked -= 1
         self.running.append(request)
 
+    def resume_batch(self, requests: List[Request]) -> None:
+        """:meth:`resume` each request, in order."""
+        self.io_blocked -= len(requests)
+        self.running.extend(requests)
+
     # ------------------------------------------------------------------
     # One scheduling quantum
     # ------------------------------------------------------------------

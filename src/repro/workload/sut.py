@@ -23,14 +23,15 @@ bit-identical to the pre-fault simulator.
 
 from __future__ import annotations
 
+import random
 import time
 from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
-from repro.config import ExperimentConfig
+from repro.config import ExperimentConfig, TransactionSpec
 from repro.jvm.gc import GcEvent, MarkSweepCompactCollector
 from repro.jvm.heap import FlatHeap
 from repro.obs import runtime as _obs
@@ -48,7 +49,7 @@ from repro.workload.faults import (
     ResilienceTracker,
 )
 from repro.workload.timeline import COMPONENTS, RunTimeline
-from repro.workload.transactions import Request
+from repro.workload.transactions import _KNUTH_LAMBDA_MAX, Request, poisson
 from repro.workload.webserver import WebServer
 
 #: Seconds for the live set to ramp to its steady-state size (session
@@ -110,6 +111,83 @@ class RunResult:
         return self.responses_between(type_index, *self.steady_window()).tolist()
 
 
+def admission(
+    specs: Sequence[TransactionSpec], database: Database, rng: random.Random
+) -> Callable[[int, float, float, int], Request]:
+    """One run's admission: ``admit(type_index, now, inflation, attempt)``
+    returns the new :class:`Request`.
+
+    It fuses :meth:`Database.plan_ios` (and the :func:`poisson` it
+    calls) with ``Request.__init__`` over per-type tables built once
+    here, and draws the same values in the same order from the
+    database's stream and ``rng`` (the requests stream), with the same
+    float operations — so the requests, the database's counters and both
+    streams' states are bit-identical to calling the components
+    (``tests/workload/test_admission_oracle.py`` checks this).  The
+    database's ``miss_factor`` is read on every admission, as
+    ``plan_ios`` does.
+    """
+    db_rng = database.rng
+    db_random = db_rng.random
+    request_random = rng.random
+    new_request = object.__new__
+    lams = [spec.db_queries for spec in specs]
+    # poisson's product-form stopping point for the rates that take
+    # that branch; None where it draws nothing or sums in log space.
+    knuth = [
+        pow(2.718281828459045, -lam) if 0.0 < lam <= _KNUTH_LAMBDA_MAX else None
+        for lam in lams
+    ]
+    total_cpu = [spec.total_cpu_ms for spec in specs]
+    miss_rate = 1.0 - database.effective_hit_ratio
+    # rng.uniform(0.7, 1.35) is 0.7 + (1.35 - 0.7) * rng.random().
+    jitter_span = 1.35 - 0.7
+
+    def admit(type_index: int, now: float, inflation: float, attempt: int) -> Request:
+        threshold = knuth[type_index]
+        if threshold is None:
+            queries = poisson(db_rng, lams[type_index])
+        else:
+            queries = 0
+            p = db_random()
+            while p > threshold:
+                queries += 1
+                p *= db_random()
+        misses = 0
+        if queries:
+            database.queries_issued += queries
+            miss_p = min(0.98, miss_rate * database.miss_factor)
+            for _ in range(queries):
+                if db_random() < miss_p:
+                    misses += 1
+            database.buffer_misses += misses
+
+        total = total_cpu[type_index] * (0.7 + jitter_span * request_random())
+        if inflation != 1.0:
+            total *= inflation
+        # Every field Request.__init__ sets, without its draws.
+        request = new_request(Request)
+        request.type_index = type_index
+        request.spec = specs[type_index]
+        request.arrival_s = now
+        request.total_cpu_ms = total
+        request.consumed_cpu_ms = 0.0
+        if misses:
+            points = [request_random() for _ in range(misses)]
+            points.sort()
+            request.io_thresholds = [point * total for point in points]
+        else:
+            request.io_thresholds = []
+        request.next_io = 0
+        request.in_io = False
+        request.attempt = attempt
+        request.abandoned = False
+        request.finished = False
+        return request
+
+    return admit
+
+
 class SystemUnderTest:
     """Runs the whole benchmark."""
 
@@ -142,15 +220,24 @@ class SystemUnderTest:
             retry_policy=retry,
             retry_rng=resilience_rng,
         )
-        webserver = WebServer(self.rngs.stream("workload.web"))
         appserver = AppServer(cfg, n_cores)
+        accept = appserver.accept_queue.append
         database = Database(cfg, self.rngs.stream("workload.db"))
         disk = DiskModel(cfg.disk, tick_s)
         heap = FlatHeap(jvm)
         collector = MarkSweepCompactCollector(jvm.gc, self.rngs.stream("jvm.gc"))
-        request_rng = self.rngs.stream("workload.requests")
 
         specs = cfg.transactions
+        admit = admission(specs, database, self.rngs.stream("workload.requests"))
+        # WebServer.response_overhead_s, inlined at completion:
+        # uniform(0.5, 1.5) is 0.5 + 1.0 * random(), and 1.0 * r == r.
+        web_random = self.rngs.stream("workload.web").random
+        overhead_ms = [
+            WebServer.HTTP_OVERHEAD_MS
+            if spec.protocol == "web"
+            else WebServer.RMI_OVERHEAD_MS
+            for spec in specs
+        ]
         alloc_per_cpu_ms = [
             spec.alloc_kb * KB / spec.total_cpu_ms for spec in specs
         ]
@@ -177,7 +264,6 @@ class SystemUnderTest:
                 tracker.failed[type_index] += 1
 
         def try_admit(type_index: int, attempt: int, now: float) -> None:
-            spec = specs[type_index]
             if appserver.in_flight >= cfg.max_in_flight:
                 # Overloaded: shed load rather than grow without
                 # bound (connection refused / timeout upstream).
@@ -186,7 +272,7 @@ class SystemUnderTest:
                     client_failure(type_index, attempt, now)
                 return
             if degradation.enabled and appserver.should_shed(
-                spec, degradation, resilience_rng
+                specs[type_index], degradation, resilience_rng
             ):
                 # Brownout: refuse cheaply now so the client can back
                 # off, instead of queueing work that will miss its
@@ -194,19 +280,14 @@ class SystemUnderTest:
                 tracker.shed[type_index] += 1
                 client_failure(type_index, attempt, now)
                 return
-            webserver.route(spec)
-            io_count = database.plan_ios(spec)
             inflation = 1.0
             if mods.db_cpu_factor != 1.0:
                 inflation = 1.0 + (mods.db_cpu_factor - 1.0) * db_share[type_index]
-            request = Request(
-                type_index, spec, now, request_rng, io_count, inflation
-            )
-            request.attempt = attempt
-            appserver.admit(request)
+            request = admit(type_index, now, inflation, attempt)
+            accept(request)
             if retry.enabled:
                 watch[type_index].append(
-                    (now + retry.timeout_s(spec.protocol), request)
+                    (now + retry.timeout_s(specs[type_index].protocol), request)
                 )
 
         n_ticks = int(round(cfg.duration_s / tick_s))
@@ -303,8 +384,8 @@ class SystemUnderTest:
                 if mutator_capacity > 0
                 else ([], [], [0.0] * len(COMPONENTS), [0.0] * len(specs), 0.0)
             )
-            for request in io_submissions:
-                disk.submit(request)
+            if io_submissions:
+                disk.submit_batch(io_submissions)
 
             # --- Allocation and GC triggering -------------------------------
             alloc_bytes = 0
@@ -317,8 +398,9 @@ class SystemUnderTest:
                 gc_wall_remaining_ms = event.pause_ms
 
             # --- Disk progress ----------------------------------------------
-            for request in disk.tick():
-                appserver.resume(request)
+            io_done = disk.tick()
+            if io_done:
+                appserver.resume_batch(io_done)
 
             # --- Completions -------------------------------------------------
             done_s = now + tick_s
@@ -334,8 +416,8 @@ class SystemUnderTest:
                         continue
                 type_index = request.type_index
                 completions[type_index] += 1
-                rt = request.response_time_s(done_s)
-                rt += webserver.response_overhead_s(request.spec)
+                rt = done_s - request.arrival_s
+                rt += (0.5 + web_random()) * overhead_ms[type_index] / 1000.0
                 completion_times[type_index].append(done_s)
                 response_times[type_index].append(rt)
 

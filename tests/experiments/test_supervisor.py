@@ -2,6 +2,8 @@
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -159,6 +161,41 @@ class TestWorkerCrash:
         assert outcome.results == [x + 1 for x in range(3)]
         assert outcome.degraded_serial
         assert outcome.pool_failures == 1
+
+    def test_pool_broken_before_submit_recovered(self, monkeypatch):
+        """A pool a dead worker already broke raises on ``submit``."""
+
+        class BreaksOnSecondSubmit:
+            """Runs tasks in-process; the second submit of the sweep
+            finds the pool broken."""
+
+            submits = 0
+
+            def __init__(self, max_workers, initializer=None):
+                pass
+
+            def submit(self, fn, arg):
+                type(self).submits += 1
+                if type(self).submits == 2:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                future.set_result(fn(arg))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(
+            "repro.experiments.supervisor.ProcessPoolExecutor", BreaksOnSecondSubmit
+        )
+        outcome = supervise(_square, list(range(4)), jobs=2, policy=FAST)
+        assert outcome.results == [x * x for x in range(4)]
+        # Task 0 was in flight: one crash attempt, then a clean rerun.
+        # Task 1 never ran, so its refused submit is not charged.
+        assert outcome.stats[0] == TaskStats(attempts=2, worker_crashes=1)
+        assert outcome.stats[1:] == [TaskStats(attempts=1) for _ in range(3)]
+        assert outcome.pool_failures == 1
+        assert not outcome.degraded_serial
 
 
 class TestTimeout:

@@ -64,6 +64,7 @@ class TestRunSuite:
             "counter_kernel",
             "window_execution",
             "reproduce_all_fused",
+            "sut_tick_loop",
         }
         for entry in results.values():
             assert len(entry["reps_s"]) == MIN_REPETITIONS
@@ -76,6 +77,7 @@ class TestRunSuite:
             "fig07_tlb",
         ]
         assert results["reproduce_all_fused"]["duration_s"] == 60.0
+        assert results["sut_tick_loop"]["duration_s"] == 30.0
 
     def test_repetition_floor_enforced(self):
         with pytest.raises(ValueError, match=">= 5"):

@@ -20,6 +20,7 @@ ALL_KERNELS = {
     "counter_kernel",
     "window_execution",
     "reproduce_all_fused",
+    "sut_tick_loop",
 }
 
 

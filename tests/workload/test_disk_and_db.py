@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.config import DiskConfig, WorkloadConfig
+from repro.workload.appserver import AppServer
 from repro.workload.database import Database
 from repro.workload.disk import DiskModel
 from repro.workload.transactions import Request
@@ -90,6 +91,52 @@ class TestDiskModel:
         assert len(disk.tick()) == 3  # 100 // 30, residual 10 ms kept
         assert len(disk.tick()) == 3  # (10 + 100) // 30
         assert len(disk.tick()) == 4  # (20 + 100) // 30
+
+    def test_batch_handoff_matches_single_requests(self):
+        """The SUT's batched handoff against ``submit``/``resume`` one
+        request at a time."""
+        config = WorkloadConfig()
+        sides = []
+        for batched in (False, True):
+            disk = DiskModel(DiskConfig.hard_disks(2, service_ms=11.0), tick_s=0.1)
+            server = AppServer(config, n_cores=4)
+            requests = [make_request(seed=i, io_count=1 + i % 3) for i in range(40)]
+            server.io_blocked = len(requests)
+            resumed = []
+            for chunk in (requests[:25], requests[25:]):
+                if batched:
+                    disk.submit_batch(chunk)
+                else:
+                    for request in chunk:
+                        disk.submit(request)
+                done = disk.tick()
+                if batched:
+                    server.resume_batch(done)
+                else:
+                    for request in done:
+                        server.resume(request)
+                resumed.append([requests.index(r) for r in done])
+            assert not any(r.in_io for r in server.running)
+            sides.append(
+                (
+                    resumed,
+                    [requests.index(r) for r in server.running],
+                    server.io_blocked,
+                    disk.busy_ms,
+                    disk.total_submitted,
+                    disk.total_completed,
+                    disk.queue_length,
+                )
+            )
+        assert sides[0] == sides[1]
+
+    def test_tick_rejects_request_not_waiting_on_io(self):
+        disk = DiskModel(DiskConfig.ram_disk(), tick_s=0.1)
+        request = make_request()
+        request.io_complete()
+        disk.submit(request)
+        with pytest.raises(RuntimeError, match="not waiting on I/O"):
+            disk.tick()
 
 
 class TestDatabase:

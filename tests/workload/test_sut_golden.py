@@ -5,8 +5,10 @@ Each case runs a short (120 s virtual) simulation and hashes the
 ``repr`` of a float round-trips exactly, so a digest moves on any
 change to any float the loop produces — a speed-only change to the
 scheduler, the database, the driver or the tick loop must leave every
-digest here untouched.  The cases cover the fault-free loop and every
-resilience path the single-server SUT has.  Each case is checked as
+digest here untouched.  The cases cover the fault-free loop, every
+resilience path the single-server SUT has, a workload that issues no
+database queries (``poisson`` draws nothing) and one whose query rates
+all exceed 30 (``poisson``'s log-space branch).  Each case is checked as
 simulated and after a round trip through the run cache's disk-entry
 encoding, so the stored form loses nothing either.
 
@@ -31,7 +33,7 @@ from repro.config import (
     RetryPolicy,
 )
 from repro.runcache import decode_entry, encode_entry
-from repro.workload.presets import jas2004
+from repro.workload.presets import jas2004, jbb2000_like
 from repro.workload.sut import RunResult, SystemUnderTest
 
 RETRY = RetryPolicy(
@@ -66,6 +68,18 @@ def _event(kind: str, magnitude: float = 1.0, duration_s: float = 15.0):
     )
 
 
+def _query_heavy():
+    """jas2004 with every type issuing more than 30 queries on average,
+    so each admission takes ``poisson``'s log-space branch."""
+    specs = jas2004().workload.transactions
+    return _config(
+        transactions=tuple(
+            dataclasses.replace(spec, db_queries=spec.db_queries + 25.0)
+            for spec in specs
+        )
+    )
+
+
 CASES = {
     "fault-free": lambda: _config(),
     "crash-retry": lambda: _config(
@@ -82,9 +96,13 @@ CASES = {
     "two-threads-heavy-io": lambda: _config(
         thread_pool=2, buffer_pool_hit=0.30, disk=DiskConfig.hard_disks(2)
     ),
+    "no-db-queries": lambda: jbb2000_like(duration_s=120.0, seed=2007),
+    "query-heavy": _query_heavy,
 }
 
-#: SHA-256 of each case's run, captured before the tick loop was fused.
+#: SHA-256 of each case's run, captured before the tick loop was fused;
+#: ``no-db-queries`` and ``query-heavy`` were captured before admission,
+#: completion and the disk handoff were fused into the loop.
 GOLDEN = {
     "fault-free": "6af442d344e35ad3b491ec33a186a4c1da3e0795c5200915ba0644ea04a2263b",
     "crash-retry": "50766f8275fcab8514eff3f4f687562c1efd176dded032249b9248fde64ca907",
@@ -93,6 +111,8 @@ GOLDEN = {
     "disk-degraded": "f8c2ca3be8bd8ed3d38f32deaaeb216f3d9582c8b5e7c21dc2ac9cf039dfac22",
     "gc-pressure": "cb019373a25c6a33427db91dc6b30ff1255d6a1a8fc8a3b7af1dd917de309777",
     "two-threads-heavy-io": "7a33b08915a927cd03fa6c844e2bd116c7b3f3bd62f032257756624a71dcd2fa",
+    "no-db-queries": "dcdd5e8941daa54592ee76572322bb95fdd8b1fcb1b5cf06ff1ab68a074abaa0",
+    "query-heavy": "4d77b868f5550c5ea2912af516fd676a725d1fc671f526cebbf0dcaec0a7ebc4",
 }
 
 
