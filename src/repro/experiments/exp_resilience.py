@@ -105,7 +105,7 @@ def _web_goodput(result: RunResult) -> float:
     t0, t1 = result.steady_window()
     cfg = result.config.workload
     count = sum(
-        len(result.steady_responses(k))
+        len(result.responses_between(k, t0, t1))
         for k, spec in enumerate(cfg.transactions)
         if spec.protocol == "web"
     )

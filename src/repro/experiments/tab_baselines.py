@@ -22,9 +22,8 @@ from typing import Dict, List, Optional
 
 from repro.config import ExperimentConfig
 from repro.core.profile_analysis import ProfileAnalysis, analyze_profile
-from repro.cpu.regions import AddressSpace
 from repro.experiments.common import Row, bench_config, fmt, header, simulate
-from repro.jvm.methods import MethodRegistry
+from repro.jvm.methods import flat_profile_weights
 from repro.tools.verbosegc import VerboseGcLog
 from repro.util.rng import RngFactory
 from repro.workload.metrics import evaluate_run
@@ -113,11 +112,15 @@ def _contrast(name: str, config: ExperimentConfig) -> WorkloadContrast:
     t0, t1 = result.steady_window()
     steady = [e for e in result.gc_events if t0 <= e.start_time_s < t1]
     gc_summary = VerboseGcLog(steady, t1 - t0).summary()
-    space = AddressSpace.build(config.machine, config.jvm, config.workload.sharing)
-    registry = MethodRegistry(
-        config.jvm, space, RngFactory(config.seed).stream("registry")
+    # The method weights a MethodRegistry would hold: it draws them
+    # first from this stream and gives unit ``i`` ``weights[i]``.
+    weights = flat_profile_weights(
+        config.jvm.n_jited_methods,
+        config.jvm.warm_methods,
+        config.jvm.warm_share,
+        RngFactory(config.seed).stream("registry"),
     )
-    profile = analyze_profile([m.weight for m in registry.methods])
+    profile = analyze_profile(weights)
     shares = report.component_shares
     jited = shares.get("was_jited", 0.0) + shares.get("was_nonjited", 0.0) * 0.3
     return WorkloadContrast(

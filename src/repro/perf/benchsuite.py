@@ -9,7 +9,9 @@ outside the timed region) and the full repetition sample is recorded,
 so downstream consumers (``repro perf-diff``, ``repro perf-gate``) can
 separate drift from noise instead of trusting one number.  Two larger
 kernels sit beside them: ``sut_tick_loop`` times one SUT run (the
-workload layer alone) and ``reproduce_all_fused`` a miniature sweep.
+workload layer alone) and ``reproduce_all_fused`` a miniature sweep;
+``run_analysis`` times the steady-state report, vmstat rows and
+goodput and throughput series of one already simulated run.
 
 Single-shot timing was the original sin the observatory fixes: a
 one-measurement ``speedup`` moves with scheduler jitter alone.  Here
@@ -26,6 +28,7 @@ kernels in units of host speed (:func:`repro.perf.gate.compare_records`).
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from typing import Callable, Dict, List, Optional
@@ -227,6 +230,30 @@ def _sut_builder(duration_s: float):
     return setup, body
 
 
+def _analysis_builder(duration_s: float):
+    """The replay-side analysis of one SUT run, per repetition.
+
+    The run is simulated once, by the first (untimed) setup, with no
+    run cache; every repetition reads the same run.
+    """
+    from repro.tools.vmstat import VmstatReport
+    from repro.workload.metrics import evaluate_run, goodput_series
+    from repro.workload.presets import jas2004
+    from repro.workload.sut import SystemUnderTest
+
+    @functools.cache
+    def setup():
+        return SystemUnderTest(jas2004(duration_s=duration_s, seed=2007)).run()
+
+    def body(result):
+        evaluate_run(result)
+        VmstatReport(result, 5.0)
+        goodput_series(result)
+        result.timeline.throughput_series()
+
+    return setup, body
+
+
 def _counter_builder(increments: int):
     from repro.hpm.counters import CounterBank
     from repro.hpm.events import EVENT_INDEX, Event
@@ -277,7 +304,8 @@ def run_suite(
         "duration_s": sweep_duration,
         "window_cycles": sweep_cycles,
     }
-    # One SUT run on its own: the workload layer without window work.
+    # One SUT run on its own: the workload layer without window work;
+    # and the analysis of one such run, without the simulation.
     sut_duration = 30.0 if quick else 600.0
     catalog = {
         "window_execution": (
@@ -294,6 +322,10 @@ def run_suite(
             dict(sweep_params),
         ),
         "sut_tick_loop": (_sut_builder(sut_duration), {"duration_s": sut_duration}),
+        "run_analysis": (
+            _analysis_builder(sut_duration),
+            {"duration_s": sut_duration},
+        ),
     }
     chosen = kernels if kernels is not None else sorted(catalog)
     unknown = sorted(set(chosen) - set(catalog))

@@ -14,8 +14,11 @@ recover to its pre-fault level after the fault clears.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.util.stats import percentile
 from repro.workload.sut import RunResult
@@ -78,15 +81,15 @@ def evaluate_run(result: RunResult) -> BenchmarkReport:
 
     # Throughput.
     total_ops = 0
-    web_rts: List[float] = []
-    rmi_rts: List[float] = []
+    web_rts = array("d")
+    rmi_rts = array("d")
     for type_index, spec in enumerate(cfg.transactions):
-        rts = result.steady_responses(type_index)
+        rts = result.responses_between(type_index, t0, t1)
         total_ops += len(rts)
         if spec.protocol == "web":
-            web_rts.extend(rts)
+            web_rts += rts
         else:
-            rmi_rts.extend(rts)
+            rmi_rts += rts
     jops = total_ops / steady_s
 
     req = cfg.requirements
@@ -199,13 +202,12 @@ def goodput_series(
     """
     cfg = result.config.workload
     n_buckets = max(1, int(round(cfg.duration_s / bucket_s)))
-    counts = [0] * n_buckets
-    for times in result.completion_times:
-        for t in times:
-            idx = min(n_buckets - 1, int(t / bucket_s))
-            counts[idx] += 1
+    done = np.concatenate([np.frombuffer(t) for t in result.completion_times])
+    # ``astype`` truncates toward zero, as ``int`` does.
+    idx = np.minimum((done / bucket_s).astype(np.int64), n_buckets - 1)
+    counts = np.bincount(idx, minlength=n_buckets)
     times = [(i + 0.5) * bucket_s for i in range(n_buckets)]
-    return times, [c / bucket_s for c in counts]
+    return times, (counts / bucket_s).tolist()
 
 
 def evaluate_resilience(result: RunResult) -> ResilienceReport:

@@ -14,6 +14,8 @@ from array import array
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 #: Software components tracked by the CPU accounting, in Figure 4's
 #: breakdown.  GC and idle time are tracked separately.
 COMPONENTS: Tuple[str, ...] = ("web", "was_jited", "was_nonjited", "db2", "kernel")
@@ -145,11 +147,18 @@ class RunTimeline:
         return ticks.start, ticks.start + len(ticks)
 
     def busy_ms(self, i0: int, i1: int) -> List[float]:
-        """Busy CPU ms (component CPU plus GC) of each tick in ``[i0, i1)``."""
+        """Busy CPU ms (component CPU plus GC) of each tick in ``[i0, i1)``.
+
+        Each tick is ``sum(its components) + gc``: the ``+ gc`` stays
+        outside the ``sum()``, which Python 3.12 compensates.
+        """
         cpu = self.cpu_ms_by_component
-        gc = self.gc_ms
         n = _N_COMPONENTS
-        return [sum(cpu[i * n : (i + 1) * n]) + gc[i] for i in range(i0, i1)]
+        columns = [cpu[i0 * n + c : i1 * n : n] for c in range(n)]
+        return [
+            cpu_ms + gc_ms
+            for cpu_ms, gc_ms in zip(map(sum, zip(*columns)), self.gc_ms[i0:i1])
+        ]
 
     def throughput_series(
         self, bucket_s: float = 1.0, t_from: float = 0.0, t_to: float = float("inf")
@@ -192,15 +201,13 @@ class RunTimeline:
         if i0 == i1:
             raise ValueError("empty window")
         n = _N_COMPONENTS
-        totals = {}
-        for c, name in enumerate(COMPONENTS):
-            total = 0.0
-            for ms in self.cpu_ms_by_component[i0 * n + c : i1 * n : n]:
-                total += ms
-            totals[name] = total
-        gc_total = 0.0
-        for ms in self.gc_ms[i0:i1]:
-            gc_total += ms
+        cpu = np.frombuffer(self.cpu_ms_by_component)[i0 * n : i1 * n].reshape(-1, n)
+        gc = np.frombuffer(self.gc_ms)[i0:i1]
+        # ``cumsum`` adds down each column in tick order, as a
+        # ``total += ms`` loop from 0.0 does; ``+ 0.0`` gives a column of
+        # ``-0.0`` the loop's ``0.0``.
+        totals = dict(zip(COMPONENTS, (np.cumsum(cpu, axis=0)[-1] + 0.0).tolist()))
+        gc_total = float(np.cumsum(gc)[-1] + 0.0)
         busy = sum(totals.values()) + gc_total
         if busy <= 0:
             raise ValueError("no busy time in window")

@@ -1,5 +1,6 @@
 """Tests for the method registry and the flat profile shape."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,12 +8,30 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import JvmConfig, MachineConfig
 from repro.cpu.regions import AddressSpace
+from repro.experiments.common import quick_config
 from repro.jvm.methods import (
     HOTTEST_METHOD_NAME,
     JITED_COMPONENT_SHARES,
     MethodRegistry,
     flat_profile_weights,
 )
+from repro.util.rng import RngFactory
+from repro.workload.presets import jbb2000_like, jvm98_like
+
+
+def _scaled(config, n_jited_methods, warm_methods):
+    jvm = dataclasses.replace(
+        config.jvm, n_jited_methods=n_jited_methods, warm_methods=warm_methods
+    )
+    return dataclasses.replace(config, jvm=jvm)
+
+
+#: The three workloads ``tab_baselines`` contrasts at the quick scale.
+BASELINE_CONFIGS = {
+    "jas2004": quick_config(),
+    "jbb2000": _scaled(jbb2000_like(duration_s=420.0), 300, 8),
+    "jvm98": _scaled(jvm98_like(duration_s=420.0), 150, 5),
+}
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +118,20 @@ class TestRegistry:
         assert registry.hottest_share() == pytest.approx(
             registry.methods_by_weight()[0].weight / registry.total_weight()
         )
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_CONFIGS))
+def test_registry_holds_the_flat_profile_weights(name):
+    """A registry's method weights are ``flat_profile_weights`` drawn
+    first from its stream, so a profile needs no registry."""
+    config = BASELINE_CONFIGS[name]
+    jvm = config.jvm
+    space = AddressSpace.build(config.machine, jvm, config.workload.sharing)
+    registry = MethodRegistry(jvm, space, RngFactory(config.seed).stream("registry"))
+    weights = flat_profile_weights(
+        jvm.n_jited_methods,
+        jvm.warm_methods,
+        jvm.warm_share,
+        RngFactory(config.seed).stream("registry"),
+    )
+    assert weights == [m.weight for m in registry.methods]

@@ -21,6 +21,7 @@ ALL_KERNELS = {
     "window_execution",
     "reproduce_all_fused",
     "sut_tick_loop",
+    "run_analysis",
 }
 
 

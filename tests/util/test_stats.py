@@ -2,9 +2,11 @@
 correlation formula."""
 
 import math
+import random
+from array import array
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.util.stats import (
     RunningStats,
@@ -64,6 +66,33 @@ class TestPearson:
         assert -1.0 <= pearson(xs, ys) <= 1.0
 
 
+def sorted_percentile(values, q):
+    """The sorting implementation of ``percentile``, kept as its oracle."""
+    if not values:
+        raise ValueError("percentile of empty sequence")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile out of range: {q}")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    low = int(math.floor(rank))
+    high = int(math.ceil(rank))
+    if low == high or ordered[low] == ordered[high]:
+        return ordered[low]
+    frac = rank - low
+    lo, hi = ordered[low], ordered[high]
+    return min(max(lo * (1.0 - frac) + hi * frac, lo), hi)
+
+
+SAMPLES = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+    # A few distinct values, so most ranks fall on ties.
+    st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.0, 1e6]), min_size=1, max_size=40),
+)
+QUANTILES = st.one_of(st.sampled_from([0.0, 1e-12, 90.0, 100.0]), st.floats(0, 100))
+
+
 class TestPercentile:
     def test_median(self):
         assert percentile([1, 2, 3, 4, 5], 50) == 3
@@ -93,6 +122,22 @@ class TestPercentile:
     def test_within_range(self, values, q):
         p = percentile(values, q)
         assert min(values) <= p <= max(values)
+
+    @settings(max_examples=100)
+    @given(values=SAMPLES, q=QUANTILES, typed=st.booleans())
+    @example(values=[7.0], q=90.0, typed=True)
+    @example(values=[0.0, 0.0, -999232.0, -999233.0], q=1e-12, typed=True)
+    def test_selection_matches_sorting(self, values, q, typed):
+        sample = array("d", values) if typed else values
+        p = percentile(sample, q)
+        assert p == sorted_percentile(values, q)
+        assert type(p) is float
+
+    def test_selection_matches_sorting_on_a_large_sample(self):
+        rng = random.Random(42)
+        values = [rng.uniform(-1e6, 1e6) for _ in range(3000)]
+        for q in (1e-12, 10.0, 50.0, 90.0, 99.9):
+            assert percentile(values, q) == sorted_percentile(values, q)
 
 
 class TestShiftedZipf:

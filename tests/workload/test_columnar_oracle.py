@@ -5,15 +5,20 @@
 The readers below are verbatim copies of the implementations that
 walked the per-tick ``TickRecord`` list and the per-type
 ``(completion time, response seconds)`` lists; they run over the
-``records``/``responses`` views.  Every columnar reader must return the
+``records``/``responses`` views.  ``evaluate_run``'s predecessor also
+sorts every steady response time for its percentiles, where
+``evaluate_run`` selects them.  Every columnar reader must return the
 same values, floats compared with ``==``: each reduction keeps the form
 and order of its predecessor (``sum()`` stays ``sum()``, a ``+=`` loop
-stays a loop), which matters because Python 3.12's ``sum()`` of floats
-is compensated and an accumulation loop is not.
+stays an uncompensated left-to-right running sum), which matters
+because Python 3.12's ``sum()`` of floats is compensated and an
+accumulation loop is not.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from types import SimpleNamespace
 from typing import List, Tuple
 
@@ -23,9 +28,10 @@ from hypothesis import strategies as st
 
 from repro.tools.vmstat import VmstatReport, VmstatRow
 from repro.util.units import MB
-from repro.workload.metrics import goodput_series
+from repro.workload.metrics import BenchmarkReport, evaluate_run, goodput_series
 from repro.workload.sut import RunResult
 from repro.workload.timeline import COMPONENTS, RunTimeline, TickRecord
+from tests.util.test_stats import sorted_percentile as percentile
 from tests.workload.test_sut_golden import CASES, golden_run
 
 INF = float("inf")
@@ -165,6 +171,84 @@ def goodput_series_reference(
     return times, [c / bucket_s for c in counts]
 
 
+def evaluate_run_reference(result) -> BenchmarkReport:
+    """``repro.workload.metrics.evaluate_run``; ``result`` is the twin,
+    and ``percentile`` sorts the whole sample."""
+    cfg = result.config.workload
+    t0, t1 = result.steady_window()
+    steady_s = t1 - t0
+    if steady_s <= 0:
+        raise ValueError("run has no steady-state window")
+
+    # Throughput.
+    total_ops = 0
+    web_rts: List[float] = []
+    rmi_rts: List[float] = []
+    for type_index, spec in enumerate(cfg.transactions):
+        rts = result.steady_responses(type_index)
+        total_ops += len(rts)
+        if spec.protocol == "web":
+            web_rts.extend(rts)
+        else:
+            rmi_rts.extend(rts)
+    jops = total_ops / steady_s
+
+    req = cfg.requirements
+    p90_web = percentile(web_rts, req.quantile) if web_rts else None
+    p90_rmi = percentile(rmi_rts, req.quantile) if rmi_rts else None
+    rejected_total = sum(result.rejected)
+    # Rejected operations are unbounded-response-time failures: a run
+    # that sheds more than a sliver of its load cannot pass.
+    reject_ok = rejected_total <= 0.005 * max(1, total_ops)
+    passed = bool(
+        (p90_web is None or p90_web <= req.web_deadline_s)
+        and (p90_rmi is None or p90_rmi <= req.rmi_deadline_s)
+        and total_ops > 0
+        and reject_ok
+    )
+
+    # CPU accounting.
+    utilization = result.timeline.mean_utilization(t0, t1)
+    shares = result.timeline.component_shares(t0, t1)
+    kernel_fraction = shares.get("kernel", 0.0)
+    user_fraction = 1.0 - kernel_fraction
+
+    # GC accounting over the steady window.
+    steady_gcs = [e for e in result.gc_events if t0 <= e.start_time_s < t1]
+    gc_count = len(steady_gcs)
+    mean_period = None
+    if gc_count >= 2:
+        gaps = [
+            b.start_time_s - a.start_time_s
+            for a, b in zip(steady_gcs, steady_gcs[1:])
+        ]
+        mean_period = sum(gaps) / len(gaps)
+    mean_pause = (
+        sum(e.pause_ms for e in steady_gcs) / gc_count if gc_count else None
+    )
+    gc_fraction = sum(e.pause_ms for e in steady_gcs) / 1000.0 / steady_s
+
+    return BenchmarkReport(
+        injection_rate=cfg.injection_rate,
+        jops=jops,
+        jops_per_ir=jops / cfg.injection_rate,
+        p90_web_s=p90_web,
+        p90_rmi_s=p90_rmi,
+        passed=passed,
+        utilization=utilization,
+        user_fraction=user_fraction,
+        kernel_fraction=kernel_fraction,
+        gc_fraction=gc_fraction,
+        gc_count=gc_count,
+        mean_gc_period_s=mean_period,
+        mean_gc_pause_ms=mean_pause,
+        disk_utilization=result.disk_utilization,
+        io_wait_mean_queue=result.disk_mean_queue,
+        component_shares=shares,
+        rejected_ops=rejected_total,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
@@ -181,7 +265,12 @@ class Oracle:
             timeline=self.timeline,
             responses=result.responses,
             steady_window=result.steady_window,
+            rejected=result.rejected,
+            gc_events=result.gc_events,
+            disk_utilization=result.disk_utilization,
+            disk_mean_queue=result.disk_mean_queue,
         )
+        self.twin.steady_responses = functools.partial(steady_responses, self.twin)
 
 
 def outcome(fn, *args):
@@ -244,6 +333,28 @@ def test_whole_run_and_steady_window(oracles, name):
         check_buckets(oracle, bucket_s)
     for k in range(len(result.completion_times)):
         assert result.steady_responses(k) == steady_responses(oracle.twin, k)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_benchmark_report(oracles, name):
+    oracle = oracles[name]
+    new = evaluate_run(oracle.result)
+    old = evaluate_run_reference(oracle.twin)
+    for field in dataclasses.fields(BenchmarkReport):
+        assert getattr(new, field.name) == getattr(old, field.name), field.name
+    for p90 in (new.p90_web_s, new.p90_rmi_s):
+        assert p90 is None or type(p90) is float
+
+
+def test_component_shares_of_negative_zero_columns():
+    """Columns of ``-0.0`` total the loop's ``0.0``, not ``-0.0``."""
+    timeline = RunTimeline(0.1, ("only",), 1)
+    cpu_ms = [-0.0, 1.0, 2.0, 3.0, 4.0]
+    for _ in range(3):
+        timeline.record_tick([0], [0], cpu_ms, [0.0], -0.0, 0.0, 0, 0, 0)
+    new = timeline.component_shares()
+    old = RecordTimeline(timeline).component_shares()
+    assert list(map(repr, new.values())) == list(map(repr, old.values()))
 
 
 @pytest.mark.parametrize("name", RUNS)
