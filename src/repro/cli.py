@@ -29,11 +29,6 @@ Commands::
                    bench-history trajectory
     perf-diff      compare two bench-history records
     perf-gate      the statistical perf-regression gate (exit 0/1)
-    serve          run the simulation service (HTTP job API + worker
-                   pool + persistent artifact index)
-    load           drive load against a running service (open-loop
-                   Poisson or closed-loop; writes a BENCH envelope)
-    service-index  artifact-index maintenance: stats / jobs / rebuild
 
 Every command accepts ``--scale quick|bench|full`` (default ``quick``)
 and ``--seed N``.  ``characterize``, ``figure`` and ``reproduce-all``
@@ -482,105 +477,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.app import ServiceServer
-
-    server = ServiceServer(
-        args.data_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        mode=args.mode,
-        queue_capacity=args.queue_capacity,
-    )
-    host, port = server.address
-    print(f"repro service listening on http://{host}:{port}")
-    print(f"  data dir: {args.data_dir}  workers: {args.workers} "
-          f"({args.mode})  queue capacity: {args.queue_capacity}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.stop()
-    return 0
-
-
-def cmd_load(args: argparse.Namespace) -> int:
-    from repro.config_io import config_to_dict
-    from repro.service.loadgen import (
-        PRESETS,
-        run_closed_loop,
-        run_open_loop,
-        write_report_files,
-    )
-
-    preset = PRESETS[args.preset]
-    config_dict = config_to_dict(_config(args))
-    if args.mode == "open":
-        report = run_open_loop(
-            args.url,
-            preset["kind"],
-            config_dict,
-            preset["params"],
-            requests=args.requests,
-            rate_rps=args.rate,
-            seed=args.seed,
-            wait_s=args.wait,
-        )
-    else:
-        report = run_closed_loop(
-            args.url,
-            preset["kind"],
-            config_dict,
-            preset["params"],
-            requests=args.requests,
-            concurrency=args.concurrency,
-            wait_s=args.wait,
-        )
-    _emit(report.render_lines())
-    write_report_files(
-        report, bench_path=args.json, metrics_path=args.metrics_json
-    )
-    if args.json:
-        print(f"bench envelope written to {args.json}")
-    if args.metrics_json and report.metrics is not None:
-        print(f"metrics scrape written to {args.metrics_json}")
-    if report.server_errors > 0:
-        print(f"FAIL: {report.server_errors} server (5xx) errors")
-        return 1
-    if report.success_ratio < args.min_success:
-        print(
-            f"FAIL: success ratio {report.success_ratio:.4f} below "
-            f"--min-success {args.min_success}"
-        )
-        return 1
-    return 0
-
-
-def cmd_service_index(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.index import ArtifactIndex
-
-    index = ArtifactIndex(args.data_dir)
-    try:
-        if args.action == "rebuild":
-            indexed = index.rebuild()
-            print(f"rebuilt index from {indexed} artifact(s)")
-        elif args.action == "jobs":
-            for record in index.list_jobs():
-                print(
-                    f"{record.job_id}  {record.kind:12s} {record.status:8s} "
-                    f"attempts={record.attempts} "
-                    f"artifact={record.artifact_key or '-'}"
-                )
-        print(json.dumps(index.stats(), indent=2, sort_keys=True))
-    finally:
-        index.close()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -996,130 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run manifest (config keys, provenance, metrics)",
     )
     trace.set_defaults(handler=cmd_trace)
-    serve = sub.add_parser(
-        "serve",
-        help="run the simulation service (HTTP job API, worker pool, "
-        "persistent artifact index)",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8642,
-        help="bind port; 0 picks an ephemeral port (default: 8642)",
-    )
-    serve.add_argument(
-        "--data-dir",
-        metavar="DIR",
-        default="service-data",
-        help="artifact + index directory (default: service-data)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker threads draining the job queue (default: 2)",
-    )
-    serve.add_argument(
-        "--mode",
-        choices=("inline", "process"),
-        default="inline",
-        help="where job bodies run: inline in the worker thread, or in "
-        "a supervised one-process pool per worker (timeouts, crash "
-        "recovery, degradation back to inline; default: inline)",
-    )
-    serve.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=256,
-        metavar="N",
-        help="queued-job limit before submissions get HTTP 429 "
-        "(default: 256)",
-    )
-    serve.set_defaults(handler=cmd_serve)
-    load = sub.add_parser(
-        "load",
-        help="drive load against a running service; writes a "
-        "BENCH_service envelope",
-        parents=[common],
-    )
-    load.add_argument(
-        "--url",
-        default="http://127.0.0.1:8642",
-        help="service base URL (default: http://127.0.0.1:8642)",
-    )
-    load.add_argument(
-        "--preset",
-        choices=("characterize", "figure"),
-        default="characterize",
-        help="request shape: a small characterization or figure 3 "
-        "(default: characterize)",
-    )
-    load.add_argument(
-        "--mode",
-        choices=("closed", "open"),
-        default="closed",
-        help="closed: N threads back to back; open: Poisson arrivals "
-        "at --rate regardless of completions (default: closed)",
-    )
-    load.add_argument(
-        "--requests", type=int, default=100, metavar="N",
-        help="total logical requests (default: 100)",
-    )
-    load.add_argument(
-        "--concurrency", type=int, default=8, metavar="N",
-        help="closed-loop worker threads (default: 8)",
-    )
-    load.add_argument(
-        "--rate", type=float, default=50.0, metavar="RPS",
-        help="open-loop Poisson arrival rate (default: 50)",
-    )
-    load.add_argument(
-        "--wait", type=float, default=300.0, metavar="S",
-        help="per-request long-poll budget (default: 300)",
-    )
-    load.add_argument(
-        "--min-success",
-        type=float,
-        default=0.99,
-        metavar="RATIO",
-        help="exit 1 if the success ratio falls below this "
-        "(default: 0.99)",
-    )
-    load.add_argument(
-        "--json",
-        metavar="FILE",
-        default=None,
-        help="write the benchio envelope (kind=service_load) here",
-    )
-    load.add_argument(
-        "--metrics-json",
-        metavar="FILE",
-        default=None,
-        help="write the final /v1/metrics scrape here",
-    )
-    load.set_defaults(handler=cmd_load)
-    service_index = sub.add_parser(
-        "service-index",
-        help="artifact-index maintenance: stats, job listing, rebuild "
-        "from the artifact files",
-    )
-    service_index.add_argument(
-        "action",
-        choices=("stats", "jobs", "rebuild"),
-        help="stats: entry counts | jobs: list the job table | "
-        "rebuild: re-derive every row from the artifact directory",
-    )
-    service_index.add_argument(
-        "--data-dir",
-        metavar="DIR",
-        default="service-data",
-        help="artifact + index directory (default: service-data)",
-    )
-    service_index.set_defaults(handler=cmd_service_index)
     return parser
 
 

@@ -20,10 +20,8 @@ reproduction the same kind of self-instrumentation:
 """
 
 from repro.obs.manifest import (
-    ARTIFACT_MANIFEST_SCHEMA,
     MANIFEST_SCHEMA,
     RunRecord,
-    artifact_manifest,
     audit_lines,
     build_manifest,
     git_describe,
@@ -41,7 +39,6 @@ from repro.obs.runtime import Observability, active, install, observe
 from repro.obs.trace import TRACE_SCHEMA, VIRTUAL, WALL, Span, Tracer
 
 __all__ = [
-    "ARTIFACT_MANIFEST_SCHEMA",
     "Counter",
     "Gauge",
     "Histogram",
@@ -55,7 +52,6 @@ __all__ = [
     "VIRTUAL",
     "WALL",
     "active",
-    "artifact_manifest",
     "audit_lines",
     "build_manifest",
     "git_describe",

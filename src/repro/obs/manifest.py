@@ -25,9 +25,6 @@ from typing import Dict, List, Optional
 #: Manifest document schema version.
 MANIFEST_SCHEMA = "repro_run_manifest/1"
 
-#: Schema of the per-artifact manifest stamped by the service layer.
-ARTIFACT_MANIFEST_SCHEMA = "repro_artifact_manifest/1"
-
 #: Where a cached lookup's result came from.
 SOURCE_SIMULATED = "simulated"
 SOURCE_MEMORY = "memory-cache"
@@ -97,30 +94,6 @@ def build_manifest(obs, extra: Optional[Dict[str, object]] = None) -> Dict[str, 
             for r in obs.run_records
         ],
         "metrics": obs.metrics.snapshot(),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def artifact_manifest(
-    config_key: str,
-    seed: int,
-    extra: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The provenance stamp for one service-produced artifact.
-
-    Keyed the way the artifact index is addressed: the config's content
-    hash, the seed, and the ``git describe`` of the code that produced
-    it, plus the host fingerprint — enough to decide whether a stored
-    artifact is *the* result for a request without re-running anything.
-    """
-    doc: Dict[str, object] = {
-        "schema": ARTIFACT_MANIFEST_SCHEMA,
-        "config_key": config_key,
-        "seed": seed,
-        "git": git_describe(),
-        "host": host_fingerprint(),
     }
     if extra:
         doc.update(extra)

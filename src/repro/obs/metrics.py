@@ -28,7 +28,7 @@ Metric identity is ``(name, labels)`` where labels is a tuple of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 
@@ -121,27 +121,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Bucket-resolution estimate of the ``q``-quantile.
-
-        Returns the upper bound of the first bucket whose cumulative
-        count reaches ``q * count`` (clamped to the observed extremes),
-        or ``None`` before the first observation.  Coarse by design —
-        the service layer's ``/v1/metrics`` p50/p99 summaries need
-        bucket accuracy, not exact order statistics.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return None
-        rank = q * self.count
-        seen = 0
-        for bound, bucket in zip(self.bounds, self.bucket_counts):
-            seen += bucket
-            if seen >= rank:
-                return min(max(bound, self.min_value), self.max_value)
-        return self.max_value
-
 
 #: Default histogram bounds, a coarse log scale: fine enough to see a
 #: distribution's shape, small enough to snapshot cheaply.
@@ -204,15 +183,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-    def counters(self) -> Iterable[Counter]:
-        return self._counters.values()
-
-    def gauges(self) -> Iterable[Gauge]:
-        return self._gauges.values()
-
-    def histograms(self) -> Iterable[Histogram]:
-        return self._histograms.values()
 
     def value(
         self, name: str, labels: Optional[Mapping[str, object]] = None
@@ -279,8 +249,8 @@ def snapshot_delta(
     """Difference two :meth:`MetricsRegistry.snapshot` dicts.
 
     Returns a snapshot-shaped dict describing what happened *between*
-    the two captures, so windowed reporting (objprof, the service
-    ``/v1/metrics`` deltas) stops hand-diffing registries:
+    the two captures, so windowed reporting (objprof) stops
+    hand-diffing registries:
 
     * ``counters``: ``after - before`` per metric (union of keys, a
       missing side counts as 0);

@@ -105,47 +105,31 @@ def config_key(config: ExperimentConfig, rng_fork: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def encode_blob(body: bytes, magic: bytes = CACHE_MAGIC) -> bytes:
-    """Envelope arbitrary bytes: magic, SHA-256 of the body, the body.
-
-    The run cache's own entries and the service layer's artifact store
-    (:mod:`repro.service.index`) share this envelope — any store that
-    wants verify-on-read crash safety can bring its own ``magic``.
-    """
+def encode_entry(result: RunResult) -> bytes:
+    """Envelope a result: magic, SHA-256 of the body, then the body."""
+    body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(body).hexdigest().encode("ascii")
-    return magic + digest + b"\n" + body
+    return CACHE_MAGIC + digest + b"\n" + body
 
 
-def verify_blob(blob: bytes, magic: bytes = CACHE_MAGIC) -> bytes:
+def verify_entry_bytes(blob: bytes) -> bytes:
     """Check the envelope and return the verified body.
 
     Raises :class:`CacheIntegrityError` on a missing/unknown magic
     (schema drift or truncation), a malformed header, or a checksum
-    mismatch — without decoding anything.
+    mismatch — without unpickling anything.
     """
-    if not blob.startswith(magic):
+    if not blob.startswith(CACHE_MAGIC):
         raise CacheIntegrityError(
             "missing or unknown envelope magic (stale format or truncated write)"
         )
-    digest, sep, body = blob[len(magic):].partition(b"\n")
+    digest, sep, body = blob[len(CACHE_MAGIC):].partition(b"\n")
     if not sep or len(digest) != 64:
         raise CacheIntegrityError("malformed envelope header")
     actual = hashlib.sha256(body).hexdigest().encode("ascii")
     if actual != digest:
         raise CacheIntegrityError("checksum mismatch (bit rot or partial write)")
     return body
-
-
-def encode_entry(result: RunResult) -> bytes:
-    """Envelope a result: magic, SHA-256 of the body, then the body."""
-    return encode_blob(
-        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), CACHE_MAGIC
-    )
-
-
-def verify_entry_bytes(blob: bytes) -> bytes:
-    """Check a run-cache entry envelope; returns the verified body."""
-    return verify_blob(blob, CACHE_MAGIC)
 
 
 def decode_entry(blob: bytes) -> RunResult:

@@ -35,9 +35,6 @@ class TestParser:
             "conform",
             "trace",
             "cache",
-            "serve",
-            "load",
-            "service-index",
         }
 
     def test_scale_flag_after_subcommand(self):

@@ -1,6 +1,7 @@
 """Tests for the content-addressed run cache and ``simulate()``."""
 
 import dataclasses
+import hashlib
 import pickle
 
 import pytest
@@ -15,7 +16,6 @@ from repro.runcache import (
     cache_dir_stats,
     config_key,
     decode_entry,
-    encode_blob,
     encode_entry,
     gc_cache_dir,
     verify_cache_dir,
@@ -217,7 +217,8 @@ class TestSelfHealing:
         # checksum, only the magic's version suffix differs.
         body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         entry = tmp_path / f"{key}.pkl"
-        entry.write_bytes(encode_blob(body, b"repro-runcache/2\n"))
+        digest = hashlib.sha256(body).hexdigest().encode("ascii")
+        entry.write_bytes(b"repro-runcache/2\n" + digest + b"\n" + body)
         unpickled = []
         real_loads = pickle.loads
         monkeypatch.setattr(
