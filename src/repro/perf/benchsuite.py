@@ -11,7 +11,9 @@ separate drift from noise instead of trusting one number.  Two larger
 kernels sit beside them: ``sut_tick_loop`` times one SUT run (the
 workload layer alone) and ``reproduce_all_fused`` a miniature sweep;
 ``run_analysis`` times the steady-state report, vmstat rows and
-goodput and throughput series of one already simulated run.
+goodput and throughput series of one already simulated run, and
+``runcache_read`` the run cache's read side: decoding that run's disk
+entry and keying its config.
 
 Single-shot timing was the original sin the observatory fixes: a
 one-measurement ``speedup`` moves with scheduler jitter alone.  Here
@@ -254,6 +256,34 @@ def _analysis_builder(duration_s: float):
     return setup, body
 
 
+def _runcache_read_builder(duration_s: float):
+    """One disk-tier read per repetition: ``decode_entry`` on a run's
+    entry bytes plus ``config_key`` on its config.
+
+    The run is simulated and encoded once, by the first (untimed)
+    setup; every repetition reads the same bytes.  The setup decodes
+    the entry once too, so the first repetition does not also pay for
+    the fresh pages its unpickled run takes.
+    """
+    from repro.runcache import config_key, decode_entry, encode_entry
+    from repro.workload.presets import jas2004
+    from repro.workload.sut import SystemUnderTest
+
+    @functools.cache
+    def setup():
+        config = jas2004(duration_s=duration_s, seed=2007)
+        blob = encode_entry(SystemUnderTest(config).run())
+        decode_entry(blob)
+        return config, blob
+
+    def body(state):
+        config, blob = state
+        decode_entry(blob)
+        config_key(config)
+
+    return setup, body
+
+
 def _counter_builder(increments: int):
     from repro.hpm.counters import CounterBank
     from repro.hpm.events import EVENT_INDEX, Event
@@ -305,7 +335,8 @@ def run_suite(
         "window_cycles": sweep_cycles,
     }
     # One SUT run on its own: the workload layer without window work;
-    # and the analysis of one such run, without the simulation.
+    # the analysis of one such run, without the simulation; and the
+    # read of its run-cache entry.
     sut_duration = 30.0 if quick else 600.0
     catalog = {
         "window_execution": (
@@ -324,6 +355,10 @@ def run_suite(
         "sut_tick_loop": (_sut_builder(sut_duration), {"duration_s": sut_duration}),
         "run_analysis": (
             _analysis_builder(sut_duration),
+            {"duration_s": sut_duration},
+        ),
+        "runcache_read": (
+            _runcache_read_builder(sut_duration),
             {"duration_s": sut_duration},
         ),
     }

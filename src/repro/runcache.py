@@ -112,22 +112,27 @@ def encode_entry(result: RunResult) -> bytes:
     return CACHE_MAGIC + digest + b"\n" + body
 
 
-def verify_entry_bytes(blob: bytes) -> bytes:
+def verify_entry_bytes(blob: bytes) -> memoryview:
     """Check the envelope and return the verified body.
 
-    Raises :class:`CacheIntegrityError` on a missing/unknown magic
-    (schema drift or truncation), a malformed header, or a checksum
-    mismatch — without unpickling anything.
+    The body is a ``memoryview`` into ``blob``: the checksum is taken
+    over the file bytes in place, and nothing is copied.  Raises
+    :class:`CacheIntegrityError` on a missing/unknown magic (schema
+    drift or truncation), a malformed header (the first newline after
+    the magic must end a 64-character digest), or a checksum mismatch
+    — without unpickling anything.
     """
     if not blob.startswith(CACHE_MAGIC):
         raise CacheIntegrityError(
             "missing or unknown envelope magic (stale format or truncated write)"
         )
-    digest, sep, body = blob[len(CACHE_MAGIC):].partition(b"\n")
-    if not sep or len(digest) != 64:
+    start = len(CACHE_MAGIC)
+    end = start + 64
+    if blob[end : end + 1] != b"\n" or blob.find(b"\n", start, end) != -1:
         raise CacheIntegrityError("malformed envelope header")
+    body = memoryview(blob)[end + 1 :]
     actual = hashlib.sha256(body).hexdigest().encode("ascii")
-    if actual != digest:
+    if actual != blob[start:end]:
         raise CacheIntegrityError("checksum mismatch (bit rot or partial write)")
     return body
 
@@ -262,11 +267,11 @@ class RunCache:
 
     def _load_disk(self, key: str) -> Optional[RunResult]:
         path = self._disk_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return None
         try:
             blob = path.read_bytes()
-        except OSError:
+        except OSError:  # a missing entry (a miss) or an unreadable one
             return None
         try:
             result = decode_entry(blob)

@@ -47,12 +47,14 @@ class VmstatReport:
         kernel_index = COMPONENTS.index("kernel")
         capacity = timeline.capacity_ms_per_tick
         cpu = timeline.cpu_ms_by_component
+        # Each tick's busy ms, taken once; every row sums its slice.
+        busy_ms = timeline.busy_ms(0, len(timeline))
         rows: List[VmstatRow] = []
         for start in range(0, len(timeline) - per_row + 1, per_row):
             end = start + per_row
             cap = capacity * per_row
             kernel = sum(cpu[start * n + kernel_index : end * n : n])
-            busy = sum(timeline.busy_ms(start, end))
+            busy = sum(busy_ms[start:end])
             user = busy - kernel
             idle_ms = timeline.idle_ms[start:end]
             io_waiting = timeline.io_waiting[start:end]

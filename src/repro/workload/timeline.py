@@ -10,6 +10,7 @@ garbage collector nothing to walk.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -155,10 +156,7 @@ class RunTimeline:
         cpu = self.cpu_ms_by_component
         n = _N_COMPONENTS
         columns = [cpu[i0 * n + c : i1 * n : n] for c in range(n)]
-        return [
-            cpu_ms + gc_ms
-            for cpu_ms, gc_ms in zip(map(sum, zip(*columns)), self.gc_ms[i0:i1])
-        ]
+        return list(map(operator.add, map(sum, zip(*columns)), self.gc_ms[i0:i1]))
 
     def throughput_series(
         self, bucket_s: float = 1.0, t_from: float = 0.0, t_to: float = float("inf")

@@ -4,8 +4,11 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import (
+    FAULT_KINDS,
     DegradationPolicy,
     ExperimentConfig,
     FaultConfig,
@@ -29,19 +32,84 @@ from repro.workload.presets import (
 )
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            ExperimentConfig,
-            jas2004,
-            jbb2000_like,
-            jvm98_like,
-            tpcw_like,
-            jas2004_sovereign,
-            trade6,
-        ],
+PRESETS = [
+    ExperimentConfig,
+    jas2004,
+    jbb2000_like,
+    jvm98_like,
+    tpcw_like,
+    jas2004_sovereign,
+    trade6,
+]
+
+
+def asdict_oracle(config):
+    """The previous ``config_to_dict``, ``dataclasses.asdict`` itself."""
+    return {**dataclasses.asdict(config), "_format": FORMAT}
+
+
+FAULT_EVENTS = st.builds(
+    FaultEvent,
+    kind=st.sampled_from(FAULT_KINDS),
+    start_s=st.floats(0.0, 3600.0),
+    duration_s=st.floats(0.1, 900.0),
+    magnitude=st.floats(0.0, 1.0),
+    target=st.integers(-1, 3),
+)
+
+
+@st.composite
+def configs(draw):
+    """A preset with a random seed, heap, faults, retry and degradation."""
+    base = draw(st.sampled_from(PRESETS))()
+    jvm = dataclasses.replace(
+        base.jvm,
+        heap_mb=draw(st.integers(256, 4096)),
+        heap_large_pages=draw(st.booleans()),
+        cold_mem_fraction=draw(st.none() | st.floats(0.0, 1.0)),
     )
+    faults = FaultConfig(
+        events=tuple(draw(st.lists(FAULT_EVENTS, max_size=3))),
+        retry=RetryPolicy(
+            enabled=draw(st.booleans()),
+            max_attempts=draw(st.integers(1, 6)),
+            backoff_base_s=draw(st.floats(0.01, 3.0)),
+            jitter=draw(st.floats(0.0, 0.99)),
+        ),
+        degradation=DegradationPolicy(
+            enabled=draw(st.booleans()),
+            brownout_threshold=draw(st.floats(0.05, 1.0)),
+            sustain_ticks=draw(st.integers(1, 20)),
+        ),
+    )
+    return dataclasses.replace(
+        base, seed=draw(st.integers(0, 2**63)), jvm=jvm, faults=faults
+    )
+
+
+class TestSerializer:
+    @settings(max_examples=60, deadline=None)
+    @given(config=configs())
+    def test_matches_asdict(self, config):
+        """The field walk builds ``asdict``'s tree: equal values, tuples
+        kept as tuples, so the canonical JSON and the content keys are
+        the same."""
+        data = config_to_dict(config)
+        oracle = asdict_oracle(config)
+        assert data == oracle
+        assert json.dumps(data, sort_keys=True) == json.dumps(oracle, sort_keys=True)
+
+    def test_tree_shares_no_container_with_the_config(self):
+        config = jas2004()
+        data = config_to_dict(config)
+        cpu_ms = data["workload"]["transactions"][0]["cpu_ms"]
+        assert cpu_ms == config.workload.transactions[0].cpu_ms
+        assert cpu_ms is not config.workload.transactions[0].cpu_ms
+        assert type(data["workload"]["transactions"]) is tuple
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("factory", PRESETS)
     def test_every_preset_round_trips(self, factory):
         config = factory()
         rebuilt = config_from_dict(config_to_dict(config))

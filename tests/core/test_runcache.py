@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import json
 import pickle
 
 import pytest
 
 from repro.config import FaultConfig, FaultEvent
-from repro.experiments.common import simulate
+from repro.config_io import FORMAT
+from repro.experiments.common import quick_config, simulate
 from repro.runcache import (
     CACHE_MAGIC,
     QUARANTINE_DIRNAME,
@@ -28,6 +30,38 @@ from repro.workload.sut import SystemUnderTest
 
 def small_config(seed=5):
     return jas2004(duration_s=120.0, seed=seed)
+
+
+def previous_verify(blob):
+    """The envelope check as it was before it ran in place: the same
+    three checks over two copies of the body.  Kept as the oracle of
+    :func:`verify_entry_bytes`."""
+    if not blob.startswith(CACHE_MAGIC):
+        raise CacheIntegrityError(
+            "missing or unknown envelope magic (stale format or truncated write)"
+        )
+    digest, sep, body = blob[len(CACHE_MAGIC):].partition(b"\n")
+    if not sep or len(digest) != 64:
+        raise CacheIntegrityError("malformed envelope header")
+    actual = hashlib.sha256(body).hexdigest().encode("ascii")
+    if actual != digest:
+        raise CacheIntegrityError("checksum mismatch (bit rot or partial write)")
+    return body
+
+
+def previous_key(config, rng_fork=None):
+    """``config_key`` over the previous serializer, ``dataclasses.asdict``."""
+    payload = {**dataclasses.asdict(config), "_format": FORMAT, "_rng_fork": rng_fork}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def verdict(check, blob):
+    """The body ``check`` returns, as bytes, or the message it raised."""
+    try:
+        return bytes(check(blob))
+    except CacheIntegrityError as exc:
+        return str(exc)
 
 
 def assert_bit_identical(a, b):
@@ -71,6 +105,19 @@ class TestConfigKey:
             ),
         )
         assert config_key(cfg) != config_key(faulted)
+
+    def test_keys_are_pinned(self):
+        """Digests computed with the previous serializer.  A changed key
+        would orphan every disk cache and sweep journal."""
+        cfg = quick_config(2007)
+        assert config_key(cfg) == (
+            "af596cd6be3ce5c14fbfe2bb45379d3fec3ada121d86cef95baf9a595d99db87"
+        )
+        assert config_key(cfg, "workload") == (
+            "40fae88a063b534a6cb9aa4ad9e8d8c39f15cb7f70d96ca0f7346a32e79b13ab"
+        )
+        assert config_key(cfg) == previous_key(cfg)
+        assert config_key(cfg, "workload") == previous_key(cfg, "workload")
 
 
 class TestMemoryTier:
@@ -176,6 +223,48 @@ class TestEnvelope:
         with pytest.raises(CacheIntegrityError):
             verify_entry_bytes(b"")
 
+    def test_body_is_a_view_of_the_entry_bytes(self):
+        result = SystemUnderTest(small_config()).run()
+        blob = encode_entry(result)
+        body = verify_entry_bytes(blob)
+        assert isinstance(body, memoryview)
+        assert body.obj is blob
+        assert body.tobytes() == previous_verify(blob)
+        assert_bit_identical(pickle.loads(body), result)
+        assert_bit_identical(decode_entry(blob), result)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"a" * 63 + b"\n",  # newline at offset 63
+            b"a" * 65 + b"\n",  # newline at offset 65
+            b"a" * 10 + b"\n" + b"a" * 53 + b"\n",  # an early newline, then 64
+            b"a" * 200,  # no newline at all
+            b"",
+        ],
+    )
+    def test_newline_off_offset_64_is_malformed(self, header):
+        with pytest.raises(CacheIntegrityError, match="malformed envelope header"):
+            verify_entry_bytes(CACHE_MAGIC + header + b"body")
+
+    def test_every_bit_flip_and_truncation_matches_the_previous_check(self):
+        """Same body or same message as the two-copy check, for a flip
+        of every header byte and many body bytes, and for a cut at
+        every header length and many body lengths."""
+        blob = encode_entry({"stand-in": "body", "values": list(range(40))})
+        header = len(CACHE_MAGIC) + 65
+        positions = list(range(header + 8)) + list(range(header, len(blob), 7))
+        variants = [blob, blob + b"trailing"]
+        for i in positions:
+            flipped = bytearray(blob)
+            flipped[i] ^= 0x01
+            variants.append(bytes(flipped))
+        variants += [blob[:n] for n in positions + [len(blob) - 1]]
+        for variant in variants:
+            assert verdict(verify_entry_bytes, variant) == verdict(
+                previous_verify, variant
+            )
+
 
 class TestSelfHealing:
     def test_bit_flip_quarantined_and_recomputed(self, tmp_path):
@@ -236,6 +325,24 @@ class TestSelfHealing:
         # The recompute re-stored the entry under the current magic.
         assert entry.read_bytes().startswith(CACHE_MAGIC)
         verify_entry_bytes(entry.read_bytes())
+
+    def test_entry_in_the_previous_layout_replays(self, tmp_path):
+        """An entry written before the check ran in place (its key and
+        its envelope built as the previous code built them) is a disk
+        hit, not a quarantine."""
+        cfg = small_config()
+        result = SystemUnderTest(cfg).run()
+        body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = hashlib.sha256(body).hexdigest().encode("ascii")
+        entry = tmp_path / f"{previous_key(cfg)}.pkl"
+        entry.write_bytes(CACHE_MAGIC + digest + b"\n" + body)
+        cache = RunCache(disk_dir=tmp_path)
+        replayed = cache.get_or_run(cfg)
+        assert cache.stats.quarantined == 0
+        assert cache.stats.disk_hits == 1
+        assert cache.stats.misses == 0
+        assert_bit_identical(replayed, result)
+        assert not (tmp_path / QUARANTINE_DIRNAME).exists()
 
     def test_unwritable_disk_dir_fails_soft(self, tmp_path):
         # Point disk_dir *under a file* so mkdir/replace must fail —
@@ -299,6 +406,35 @@ class TestCacheDirMaintenance:
         assert again.corrupt == []
         assert again.quarantined == [victim.name]
         assert not again.passed
+
+    def test_verify_matches_the_previous_check(self, tmp_path):
+        """Clean, bit-flipped and truncated entries get the outcomes the
+        two-copy check gives them."""
+        self._populate(tmp_path, n=1)
+        clean = sorted(tmp_path.glob("*.pkl"))[0].read_bytes()
+        header = len(CACHE_MAGIC) + 65
+        variants = {"clean": clean, "trailing": clean + b"\0"}
+        for at in (0, len(CACHE_MAGIC) + 3, header - 1, header, len(clean) - 1):
+            flipped = bytearray(clean)
+            flipped[at] ^= 0x10
+            variants[f"flip{at}"] = bytes(flipped)
+        for at in (0, 5, len(CACHE_MAGIC), header - 1, header, len(clean) // 2):
+            variants[f"cut{at}"] = clean[:at]
+        for name, blob in variants.items():
+            (tmp_path / f"{name}.pkl").write_bytes(blob)
+        rejected = []
+        for name, blob in sorted(variants.items()):
+            try:
+                previous_verify(blob)
+            except CacheIntegrityError:
+                rejected.append(f"{name}.pkl")
+        report = verify_cache_dir(tmp_path)
+        assert report.corrupt == rejected
+        assert report.entries_ok == 1 + len(variants) - len(rejected)
+        assert sorted(rejected) == sorted(
+            f"{name}.pkl" for name in variants if name != "clean"
+        )
+        assert report.quarantined == rejected
 
     def test_gc_clears_quarantine_and_tmp_strays(self, tmp_path):
         self._populate(tmp_path, n=1)

@@ -66,6 +66,7 @@ class TestRunSuite:
             "reproduce_all_fused",
             "sut_tick_loop",
             "run_analysis",
+            "runcache_read",
         }
         for entry in results.values():
             assert len(entry["reps_s"]) == MIN_REPETITIONS
@@ -80,6 +81,7 @@ class TestRunSuite:
         assert results["reproduce_all_fused"]["duration_s"] == 60.0
         assert results["sut_tick_loop"]["duration_s"] == 30.0
         assert results["run_analysis"]["duration_s"] == 30.0
+        assert results["runcache_read"]["duration_s"] == 30.0
 
     def test_repetition_floor_enforced(self):
         with pytest.raises(ValueError, match=">= 5"):

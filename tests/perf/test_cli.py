@@ -22,6 +22,7 @@ ALL_KERNELS = {
     "reproduce_all_fused",
     "sut_tick_loop",
     "run_analysis",
+    "runcache_read",
 }
 
 

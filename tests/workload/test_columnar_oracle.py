@@ -357,6 +357,49 @@ def test_component_shares_of_negative_zero_columns():
     assert list(map(repr, new.values())) == list(map(repr, old.values()))
 
 
+#: Component and GC values whose float sums depend on the summation:
+#: Python 3.12's ``sum()`` is compensated (``sum([1e16, 1.0, -1e16, 0.0,
+#: 0.0])`` is ``1.0`` there and ``0.0`` on 3.11), a left-to-right loop or
+#: numpy's pairwise sum is not.  The second tick's busy ms, the first
+#: vmstat row of three ticks and the whole run's total all come out
+#: different on 3.12 if a reader drops ``sum()``, or folds ``+ gc`` into
+#: it.
+CANCELLING_TICKS = (
+    ([1e16, 0.0, 0.0, 0.0, 0.0], 0.0),
+    ([1e16, 1.0, -1e16, 0.0, 0.0], 0.0),
+    ([-1e16, 0.0, 0.0, 0.0, 0.0], 0.0),
+    ([1e16, 1.0, 0.0, 0.0, 0.0], -1e16),
+    ([0.5, 0.25, 0.125, 3.0, 2.0], 0.03125),
+    ([1.0, 2.0, 3.0, 4.0, 5.0], 6.0),
+)
+
+
+def test_busy_sums_keep_their_form_on_cancelling_values():
+    """``busy_ms``, ``mean_utilization`` and the vmstat rows equal the
+    per-tick ``sum(components) + gc`` oracle on values where the form of
+    each sum decides the float.  On 3.11 any left-to-right rewrite
+    passes; on 3.12 only ``sum()`` does."""
+    timeline = RunTimeline(1.0, ("only",), 1)
+    for cpu_ms, gc_ms in CANCELLING_TICKS:
+        timeline.record_tick([0], [0], cpu_ms, [0.0], gc_ms, 0.0, 0, 0, 0)
+    busy = [sum(cpu_ms) + gc_ms for cpu_ms, gc_ms in CANCELLING_TICKS]
+    assert timeline.busy_ms(0, len(timeline)) == busy
+    assert timeline.busy_ms(1, 4) == busy[1:4]
+    capacity = timeline.capacity_ms_per_tick
+    assert timeline.mean_utilization() == sum(busy) / (capacity * len(busy))
+    assert timeline.mean_utilization(3.0) == sum(busy[3:]) / (capacity * 3)
+
+    rows = VmstatReport(SimpleNamespace(timeline=timeline), 3.0).rows
+    twin = SimpleNamespace(timeline=RecordTimeline(timeline))
+    assert rows == vmstat_build(SimpleNamespace(result=twin, interval_s=3.0))
+    kernel = COMPONENTS.index("kernel")
+    for row, start in zip(rows, (0, 3)):
+        user = sum(busy[start : start + 3]) - sum(
+            cpu_ms[kernel] for cpu_ms, _ in CANCELLING_TICKS[start : start + 3]
+        )
+        assert row.user_pct == 100.0 * user / (capacity * 3)
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_completion_times_never_decrease(oracles, name):
     for times in oracles[name].result.completion_times:
