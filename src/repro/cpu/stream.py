@@ -42,7 +42,27 @@ one function body operating on locally-bound state:
 * cycle/dispatch accumulators, cache hit/miss statistics and every
   counter that duplicates one of them live in locals for the duration
   of the call and are flushed back to the accountant, the caches and
-  ``CounterBank.data`` on exit; the rest are incremented by slot index.
+  ``CounterBank.data`` on exit; the rest are incremented by slot index;
+* the stochastic memory, LARX and SYNC counts of a block come from
+  tables indexed by its length (:func:`count_table`); the memory
+  table is kept per density in :class:`KernelTables`, the two lock
+  tables for one call, as their densities change every window.
+
+Three *trackers* let the kernel skip work whose outcome is already
+known.  ``ierat_last`` and ``derat_last`` hold the granule the IERAT
+and the DERAT probed last, and ``gather_last`` the line the last store
+wrote into the store-gather buffer.  Each probe or store leaves its
+block at the most-recent end of its set or buffer, and within one call
+only instruction fetch probes the IERAT, only loads and stores the
+DERAT and only stores the gather buffer.  So a repeat of the tracked
+block is an MRU hit that reorders nothing, and its probe is skipped;
+the reference and the hit still count.  Any other ERAT probe tests the
+MRU way first, so the set is scanned only for an older way or a miss.
+The guarantee covers one call only: between calls the generic path or
+another runner may reorder these structures.  The trackers are
+therefore locals, set to -1 on entry and never stored, and
+:meth:`SliceRunner._can_fuse` admits only three distinct stock
+translation caches with LRU ERATs.
 
 The float additions into the accountant's ``cycles`` happen in exactly
 the order the un-inlined implementation performs them, and the RNG is
@@ -68,7 +88,7 @@ from repro.cpu.prefetch import StreamPrefetcher
 from repro.cpu.pipeline import PipelineAccountant
 from repro.cpu.regions import AddressSpace, Region
 from repro.cpu.sources import DataSource, InstSource
-from repro.cpu.translation import TranslationUnit
+from repro.cpu.translation import TranslationUnit, _Erat, _UnifiedTlb
 from repro.hpm.counters import CounterBank
 from repro.hpm.events import EVENT_INDEX, Event
 from repro.obs import objprof as _objprof
@@ -88,6 +108,8 @@ STCX_FAIL_P = 0.015
 #: address picker in ``run_until``).
 SCAN_CHUNK = 24.0
 _INV_SCAN_CHUNK = 1.0 / SCAN_CHUNK
+#: Longest fetch block, in instructions: ``1 + min(draw, 64)``.
+MAX_BLOCK = 65
 
 # Counter slot indices for every event this kernel touches.
 _IERAT_MISS = EVENT_INDEX[Event.PM_IERAT_MISS]
@@ -147,6 +169,19 @@ def _weighted_cum(pairs: Sequence[Tuple[T, float]]) -> Tuple[List[T], List[float
         acc += w
         cum.append(acc)
     return items, cum
+
+
+def count_table(density: float) -> List[Tuple[int, float]]:
+    """``(int(e), e - int(e))`` for ``e = k * density``, indexed by the
+    block length ``k``: the whole and fractional parts of a stochastic
+    count, computed with the same float operations as
+    :meth:`SliceRunner._stochastic_count` performs per block."""
+    table = []
+    for k in range(MAX_BLOCK + 1):
+        e = k * density
+        n = int(e)
+        table.append((n, e - n))
+    return table
 
 
 class KernelTables:
@@ -214,6 +249,16 @@ class KernelTables:
             sources, cum = _weighted_cum(r.inst_backing)
             entries = tuple((EVENT_INDEX[s.event], inst_pen[s]) for s in sources)
             self.inst[name] = (r.page_bytes, flag, cum, entries, len(cum) - 1)
+        #: mem_per_instr -> its count_table.  Each profile kind has a
+        #: fixed density, so this holds one table per kind.
+        self._mem_counts: Dict[float, List[Tuple[int, float]]] = {}
+
+    def mem_counts(self, density: float) -> List[Tuple[int, float]]:
+        """The memory-operation :func:`count_table` of ``density``."""
+        table = self._mem_counts.get(density)
+        if table is None:
+            table = self._mem_counts[density] = count_table(density)
+        return table
 
 
 class SliceRunner:
@@ -298,6 +343,7 @@ class SliceRunner:
             SEQ_STORE_STEP,
         )
         self._inst_row = tables.inst[self._code_region.name]
+        self._tables = tables
 
     def _mix_rows(
         self,
@@ -563,14 +609,27 @@ class SliceRunner:
         reads regions through :class:`KernelTables`, so it is only valid
         when nothing has been subclassed or instance-patched; any
         override falls back to :meth:`_run_generic`, which produces
-        bit-identical results through the public interfaces.
+        bit-identical results through the public interfaces.  The ERAT
+        probes always apply LRU and the per-call trackers assume three
+        distinct translation caches, so a swapped or shared one falls
+        back too.
         """
         memory = self.memory
         translation = self.translation
         branches = self.branches
+        if type(translation) is not TranslationUnit:
+            return False
+        ierat, derat, tlb = translation.ierat, translation.derat, translation.tlb
         return (
             type(memory) is MemorySystem
-            and type(translation) is TranslationUnit
+            and type(ierat) is _Erat
+            and type(derat) is _Erat
+            and type(tlb) is _UnifiedTlb
+            and type(ierat.cache) is SetAssociativeCache
+            and type(derat.cache) is SetAssociativeCache
+            and ierat.cache.lru
+            and derat.cache.lru
+            and len({id(ierat.cache), id(derat.cache), id(tlb.cache)}) == 3
             and type(branches) is BranchUnit
             and type(self.acct) is PipelineAccountant
             and type(self.bank) is CounterBank
@@ -649,9 +708,12 @@ class SliceRunner:
         profile = self.profile
         mean_extra = profile.block_mean - 1.0
         inv_mean_extra = 1.0 / mean_extra if mean_extra > 0.0 else 0.0
-        mem_per_instr = profile.mem_per_instr
-        larx_per_instr = profile.larx_per_instr
-        sync_per_instr = profile.sync_per_instr
+        # Stochastic counts by block length.  The LARX and SYNC
+        # densities carry per-window lock noise, so their tables live
+        # for this call only.
+        mem_counts = self._tables.mem_counts(profile.mem_per_instr)
+        larx_counts = count_table(profile.larx_per_instr)
+        sync_counts = count_table(profile.sync_per_instr)
         load_fraction = profile.load_fraction
         call_frac = profile.call_fraction
         ind_frac = profile.indirect_fraction
@@ -711,6 +773,7 @@ class SliceRunner:
         runs_cap = prefetcher._runs_capacity
         alloc_l2 = prefetcher.alloc_outcome.l2_prefetches
         gather = memory._store_gather
+        gather_last = -1
         # Beyond-L1 source classification draws from the memory
         # system's own backing RNG stream, not the instruction stream.
         brnd = memory.rng.random
@@ -729,7 +792,7 @@ class SliceRunner:
         P_DTLB = _objprof.SLOT_DTLB_MISS
         P_COVERED = _objprof.SLOT_COVERED
 
-        # --- translation structures (ERATs are LRU by construction) -
+        # --- translation structures (LRU ERATs: see _can_fuse) -----
         trans = self.translation
         derat = trans.derat.cache
         derat_sets = derat.sets
@@ -743,7 +806,8 @@ class SliceRunner:
         ierat_granule = trans.ierat.granule_bytes
         tlb = trans.tlb
         tlb_access = tlb.cache.access
-        derat_m = ierat_h = ierat_m = 0
+        derat_m = ierat_m = 0
+        derat_last = ierat_last = -1
         tlb_dh = tlb_dm = tlb_ih = tlb_im = 0
 
         # --- code side ----------------------------------------------
@@ -802,27 +866,30 @@ class SliceRunner:
                 line += 1
             while line <= last_line:
                 addr = line * iline_bytes
-                # I-side translation: IERAT, then the unified TLB.
+                # I-side translation: IERAT, then the unified TLB.  A
+                # repeat of the last granule, or any MRU hit, changes
+                # nothing; hits are lines fetched minus misses.
                 g = addr // ierat_granule
-                ways = ierat_sets[g % ierat_nsets]
-                if g in ways:
-                    ierat_h += 1
-                    if ways[-1] != g:
-                        ways.remove(g)
-                        ways.append(g)
-                else:
-                    ierat_m += 1
-                    if len(ways) >= ierat_assoc:
-                        del ways[0]
-                    ways.append(g)
-                    hit = tlb_access(addr // code_page * 2 + code_flag)
-                    if hit:
-                        tlb_ih += 1
-                    else:
-                        tlb_im += 1
-                    cycles += ierat_lat
-                    if not hit:
-                        cycles += tlb_lat
+                if g != ierat_last:
+                    ierat_last = g
+                    ways = ierat_sets[g % ierat_nsets]
+                    if not ways or ways[-1] != g:
+                        if g in ways:
+                            ways.remove(g)
+                            ways.append(g)
+                        else:
+                            ierat_m += 1
+                            if len(ways) >= ierat_assoc:
+                                del ways[0]
+                            ways.append(g)
+                            hit = tlb_access(addr // code_page * 2 + code_flag)
+                            if hit:
+                                tlb_ih += 1
+                            else:
+                                tlb_im += 1
+                            cycles += ierat_lat
+                            if not hit:
+                                cycles += tlb_lat
                 # L1I probe.
                 ways = l1i_sets[line % l1i_nsets]
                 if line in ways:
@@ -847,11 +914,11 @@ class SliceRunner:
             cycles += k * base_cpi
 
             # ---- memory operations ---------------------------------
-            e = k * mem_per_instr
-            n_mem = int(e)
-            if rnd() < e - n_mem:
+            n_mem, frac = mem_counts[k]
+            if rnd() < frac:
                 n_mem += 1
-            for _ in range(n_mem):
+            while n_mem:
+                n_mem -= 1
                 if rnd() < load_fraction:
                     x = rnd() * load_total
                     row = load_rows[bisect(load_cum, x, 0, n_load_m1)]
@@ -908,31 +975,35 @@ class SliceRunner:
                         granule = (addr // span) * span
                         granule_d[name] = granule if granule > base else base
 
-                # D-side translation: DERAT, then the unified TLB.
+                # D-side translation: DERAT, then the unified TLB; a
+                # repeat of the last granule, or any MRU hit, changes
+                # nothing.
                 g = addr // derat_granule
-                ways = derat_sets[g % derat_nsets]
-                if g in ways:
-                    if ways[-1] != g:
-                        ways.remove(g)
-                        ways.append(g)
-                else:
-                    derat_m += 1
-                    if len(ways) >= derat_assoc:
-                        del ways[0]
-                    ways.append(g)
-                    if prof_charge is not None:
-                        prof_charge(region, addr, P_DERAT)
-                    hit = tlb_access(addr // page * 2 + page_flag)
-                    if hit:
-                        tlb_dh += 1
-                    else:
-                        tlb_dm += 1
-                        if prof_charge is not None:
-                            prof_charge(region, addr, P_DTLB)
-                    cycles += derat_lat
-                    extra += derat_redisp
-                    if not hit:
-                        cycles += tlb_lat
+                if g != derat_last:
+                    derat_last = g
+                    ways = derat_sets[g % derat_nsets]
+                    if not ways or ways[-1] != g:
+                        if g in ways:
+                            ways.remove(g)
+                            ways.append(g)
+                        else:
+                            derat_m += 1
+                            if len(ways) >= derat_assoc:
+                                del ways[0]
+                            ways.append(g)
+                            if prof_charge is not None:
+                                prof_charge(region, addr, P_DERAT)
+                            hit = tlb_access(addr // page * 2 + page_flag)
+                            if hit:
+                                tlb_dh += 1
+                            else:
+                                tlb_dm += 1
+                                if prof_charge is not None:
+                                    prof_charge(region, addr, P_DTLB)
+                            cycles += derat_lat
+                            extra += derat_redisp
+                            if not hit:
+                                cycles += tlb_lat
 
                 dblock = addr // dline
                 if is_load:
@@ -998,31 +1069,33 @@ class SliceRunner:
                                 cycles += alloc_lat
                 else:
                     # Write-through, non-allocating store path with
-                    # an 8-entry store-gather (SRQ merge) buffer.
+                    # an 8-entry store-gather (SRQ merge) buffer; a
+                    # store to its newest line leaves its order as is.
                     n_st += 1
-                    if dblock in gather:
-                        del gather[dblock]
-                        gather[dblock] = None
-                    else:
-                        gather[dblock] = None
-                        if len(gather) > 8:
-                            del gather[next(iter(gather))]
-                        ways = l1d_sets[dblock % l1d_nsets]
-                        if dblock in ways:
-                            l1d_h += 1
-                            if l1d_lru and ways[-1] != dblock:
-                                ways.remove(dblock)
-                                ways.append(dblock)
+                    if dblock != gather_last:
+                        gather_last = dblock
+                        if dblock in gather:
+                            del gather[dblock]
+                            gather[dblock] = None
                         else:
-                            st_miss += 1
-                            if prof_charge is not None:
-                                prof_charge(region, addr, P_ST_MISS)
-                            cycles += store_miss_lat
+                            gather[dblock] = None
+                            if len(gather) > 8:
+                                del gather[next(iter(gather))]
+                            ways = l1d_sets[dblock % l1d_nsets]
+                            if dblock in ways:
+                                l1d_h += 1
+                                if l1d_lru and ways[-1] != dblock:
+                                    ways.remove(dblock)
+                                    ways.append(dblock)
+                            else:
+                                st_miss += 1
+                                if prof_charge is not None:
+                                    prof_charge(region, addr, P_ST_MISS)
+                                cycles += store_miss_lat
 
             # ---- LARX/STCX pairs -----------------------------------
-            e = k * larx_per_instr
-            n = int(e)
-            if rnd() < e - n:
+            n, frac = larx_counts[k]
+            if rnd() < frac:
                 n += 1
             if n:
                 counts[_LARX] += n
@@ -1033,9 +1106,8 @@ class SliceRunner:
                         cycles += stcx_lat
 
             # ---- SYNCs ---------------------------------------------
-            e = k * sync_per_instr
-            n = int(e)
-            if rnd() < e - n:
+            n, frac = sync_counts[k]
+            if rnd() < frac:
                 n += 1
             if n:
                 counts[_SYNC_CNT] += n
@@ -1156,7 +1228,8 @@ class SliceRunner:
         # Every data reference probes the DERAT once.
         derat.hits += n_ld + n_st - derat_m
         derat.misses += derat_m
-        ierat.hits += ierat_h
+        # ... and every I-line fetched probes the IERAT once.
+        ierat.hits += l1i_h + l1i_m - ierat_m
         ierat.misses += ierat_m
         tlb.data_hits += tlb_dh
         tlb.data_misses += tlb_dm

@@ -13,7 +13,9 @@ workload layer alone) and ``reproduce_all_fused`` a miniature sweep;
 ``run_analysis`` times the steady-state report, vmstat rows and
 goodput and throughput series of one already simulated run, and
 ``runcache_read`` the run cache's read side: decoding that run's disk
-entry and keying its config.
+entry and keying its config.  ``characterize_windows`` times the
+bridge-scheduled mutator windows the characterization campaign runs,
+where ``window_execution`` runs a static kernel/GC/idle mix.
 
 Single-shot timing was the original sin the observatory fixes: a
 one-measurement ``speedup`` moves with scheduler jitter alone.  Here
@@ -145,6 +147,52 @@ def _core_builder(windows: int, window_cycles: int):
         return CoreModel(
             machine, space, StaticSchedule(descriptor), sampling, RngFactory(42)
         )
+
+    def body(core):
+        for w in range(windows):
+            core.execute_window(w)
+
+    return setup, body
+
+
+def _characterize_builder(duration_s: float, windows: int):
+    """The windows ``characterize`` runs: bridge-scheduled mutator
+    slices on a warmed core of a :class:`Characterization`.
+
+    The study and its SUT run are built once, by the first (untimed)
+    setup, with a run cache of this kernel's own; every setup takes a
+    fresh :meth:`~Characterization.group_core`, whose RNG forks derive
+    from the seed alone, so each repetition executes the same windows
+    from the same state.  A run shorter than 300 s opens its steady
+    window before the JIT has compiled every hot method, so part of the
+    ``was_jited`` share runs as the interpreter profile.
+    """
+    import dataclasses
+
+    from repro.config import SamplingConfig
+    from repro.core.characterization import Characterization
+    from repro.runcache import RunCache, set_default_cache
+    from repro.workload.presets import jas2004
+
+    @functools.cache
+    def study():
+        cfg = jas2004(duration_s=duration_s, seed=2007)
+        built = Characterization(
+            dataclasses.replace(
+                cfg,
+                jvm=dataclasses.replace(cfg.jvm, n_jited_methods=800, warm_methods=40),
+                sampling=SamplingConfig(window_cycles=20000, warmup_windows=2),
+            )
+        )
+        previous = set_default_cache(RunCache())
+        try:
+            built.result  # simulates the run
+        finally:
+            set_default_cache(previous)
+        return built
+
+    def setup():
+        return study().group_core("characterize_windows")
 
     def body(core):
         for w in range(windows):
@@ -338,10 +386,16 @@ def run_suite(
     # the analysis of one such run, without the simulation; and the
     # read of its run-cache entry.
     sut_duration = 30.0 if quick else 600.0
+    # Windows of the characterization campaign, over a run of its own.
+    study_duration, study_windows = (60.0, 4) if quick else (300.0, 40)
     catalog = {
         "window_execution": (
             _core_builder(windows, window_cycles),
             {"windows": windows, "window_cycles": window_cycles},
+        ),
+        "characterize_windows": (
+            _characterize_builder(study_duration, study_windows),
+            {"duration_s": study_duration, "windows": study_windows},
         ),
         "cache_kernel": (_cache_builder(accesses), {"accesses": accesses}),
         "counter_kernel": (

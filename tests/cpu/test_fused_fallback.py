@@ -27,7 +27,7 @@ from repro.cpu.phases import (
     idle_profile,
     kernel_profile,
 )
-from repro.cpu.reference import ReferenceCoreModel
+from repro.cpu.reference import ReferenceCoreModel, ReferenceSetAssociativeCache
 from repro.cpu.regions import AddressSpace, Region
 from repro.cpu.sources import DataSource, InstSource
 from repro.cpu.stream import SliceRunner
@@ -119,6 +119,21 @@ def _hardware_state(core):
     }
 
 
+def _assert_windows_match(core, reference_snaps):
+    ref_snaps, ref_hw = reference_snaps
+    for w, ref in enumerate(ref_snaps):
+        snap = core.execute_window(w)
+        assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
+    assert _hardware_state(core) == ref_hw
+
+
+def _swap_erat(core, name, cache_cls, policy):
+    """Rebuild one ERAT's cache as ``cache_cls`` with ``policy``."""
+    erat = getattr(core.translation, name)
+    stock = erat.cache
+    erat.cache = cache_cls(stock.n_sets, stock.associativity, policy)
+
+
 class SubclassedBranchCore(CoreModel):
     branch_unit_cls = PassthroughBranchUnit
 
@@ -195,13 +210,6 @@ class TestInlinedCollaboratorsForceGenericPath:
     override must actually have run.
     """
 
-    def _assert_reference_windows(self, core, reference_snaps):
-        ref_snaps, ref_hw = reference_snaps
-        for w, ref in enumerate(ref_snaps):
-            snap = core.execute_window(w)
-            assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
-        assert _hardware_state(core) == ref_hw
-
     @pytest.mark.parametrize("method", ["cover", "on_miss"])
     def test_prefetcher_patch_is_honoured(self, reference_snaps, method):
         core = _build(CoreModel)
@@ -215,7 +223,7 @@ class TestInlinedCollaboratorsForceGenericPath:
 
         setattr(prefetcher, method, spy)
         assert not _first_runner(core)._can_fuse()
-        self._assert_reference_windows(core, reference_snaps)
+        _assert_windows_match(core, reference_snaps)
         assert calls
 
     # The kernel profile (first slice) loads from native_data and
@@ -225,8 +233,50 @@ class TestInlinedCollaboratorsForceGenericPath:
         SpyRegion.draws.clear()
         core = _build(CoreModel, space=_respace({name: {}}, SpyRegion))
         assert not _first_runner(core)._can_fuse()
-        self._assert_reference_windows(core, reference_snaps)
+        _assert_windows_match(core, reference_snaps)
         assert name in SpyRegion.draws
+
+
+class TestTranslationCacheSwapsForceGenericPath:
+    """The kernel probes the ERAT way lists itself, always applies LRU,
+    and keeps per-call trackers that assume three distinct translation
+    caches; any other cache in either ERAT must send the windows down
+    the generic path, which honours it."""
+
+    @staticmethod
+    def _assert_matches_swapped_reference(core, reference):
+        assert not _first_runner(core)._can_fuse()
+        for w in range(N_WINDOWS):
+            snap = core.execute_window(w)
+            assert dict(snap.counts) == dict(reference.execute_window(w).counts)
+        assert _hardware_state(core) == _hardware_state(reference)
+
+    @pytest.mark.parametrize("name", ["ierat", "derat"])
+    def test_fifo_erat(self, reference_snaps, name):
+        core = _build(CoreModel)
+        _swap_erat(core, name, SetAssociativeCache, "fifo")
+        reference = _build(ReferenceCoreModel)
+        _swap_erat(reference, name, ReferenceSetAssociativeCache, "fifo")
+        self._assert_matches_swapped_reference(core, reference)
+        if name == "derat":
+            # FIFO changes the DERAT's windows, so the match is not
+            # vacuous (the IERAT misses too rarely in four windows).
+            assert _hardware_state(core) != reference_snaps[1]
+
+    def test_shared_erat_cache(self, reference_snaps):
+        core = _build(CoreModel)
+        reference = _build(ReferenceCoreModel)
+        for model in (core, reference):
+            model.translation.derat.cache = model.translation.ierat.cache
+        self._assert_matches_swapped_reference(core, reference)
+        assert _hardware_state(core) != reference_snaps[1]
+
+    @pytest.mark.parametrize("name", ["ierat", "derat"])
+    def test_subclassed_erat(self, reference_snaps, name):
+        core = _build(CoreModel)
+        _swap_erat(core, name, PassthroughCache, "lru")
+        assert not _first_runner(core)._can_fuse()
+        _assert_windows_match(core, reference_snaps)
 
 
 class TestEmptyBackingRejected:

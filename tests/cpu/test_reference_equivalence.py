@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.config import JvmConfig, MachineConfig, SamplingConfig
+from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.core_model import CoreModel, StaticSchedule
 from repro.cpu.phases import (
     PhaseDescriptor,
@@ -40,6 +41,44 @@ def _build(model_cls, seed):
     return model_cls(
         machine, space, StaticSchedule(descriptor), sampling, RngFactory(seed)
     )
+
+
+def _ways(cache):
+    """Every set's resident blocks in replacement order, victim first."""
+    sets = cache.sets if isinstance(cache, SetAssociativeCache) else cache._sets
+    return [list(ways) for ways in sets]
+
+
+def _full_state(core):
+    """Every piece of state the fused kernel writes or draws from.
+
+    The way lists are compared in order: a skipped or extra LRU
+    reorder leaves every hit/miss total equal until it changes which
+    block a later miss evicts.
+    """
+    memory, t = core.memory, core.translation
+    return {
+        "streams": list(memory.prefetcher._streams.items()),
+        "runs": list(memory.prefetcher._runs.items()),
+        "store_gather": list(memory._store_gather),
+        "direction": list(core.branches.direction._table),
+        "target": list(core.branches.target._table),
+        "l1i": (memory.l1i.hits, memory.l1i.misses, _ways(memory.l1i)),
+        "l1d": (memory.l1d.hits, memory.l1d.misses, _ways(memory.l1d)),
+        "ierat": (t.ierat.cache.hits, t.ierat.cache.misses, _ways(t.ierat.cache)),
+        "derat": (t.derat.cache.hits, t.derat.cache.misses, _ways(t.derat.cache)),
+        "tlb": (
+            t.tlb.data_hits,
+            t.tlb.data_misses,
+            t.tlb.inst_hits,
+            t.tlb.inst_misses,
+            _ways(t.tlb.cache),
+        ),
+        "rng": [
+            rng.getstate()
+            for rng in (core._rng_stream, core._rng_backing, core._rng_pipeline)
+        ],
+    }
 
 
 @pytest.fixture(scope="module", params=[42, 2007])
@@ -102,6 +141,12 @@ class TestHardwareStateIdentical:
             == reference.memory.prefetcher.active_streams
         )
 
+    def test_full_state(self, models):
+        optimized, reference, _ = models
+        state = _full_state(optimized)
+        assert all(state["derat"][2]) and state["store_gather"]
+        assert state == _full_state(reference)
+
 
 class TestInstrumentedWindowIdentical:
     """An active observability session must not perturb the kernels.
@@ -152,23 +197,6 @@ CHARACTERIZE_PROFILES = {
 }
 
 
-def _full_state(core):
-    """Every piece of hardware state the fused kernel writes."""
-    memory, t = core.memory, core.translation
-    return {
-        "streams": list(memory.prefetcher._streams.items()),
-        "runs": list(memory.prefetcher._runs.items()),
-        "store_gather": list(memory._store_gather),
-        "direction": list(core.branches.direction._table),
-        "target": list(core.branches.target._table),
-        "l1i": (memory.l1i.hits, memory.l1i.misses),
-        "l1d": (memory.l1d.hits, memory.l1d.misses),
-        "ierat": (t.ierat.cache.hits, t.ierat.cache.misses),
-        "derat": (t.derat.cache.hits, t.derat.cache.misses),
-        "tlb": (t.tlb.data_hits, t.tlb.data_misses, t.tlb.inst_hits, t.tlb.inst_misses),
-    }
-
-
 @pytest.fixture(scope="module")
 def characterize_models():
     from repro.core.characterization import Characterization
@@ -211,6 +239,82 @@ class TestCharacterizeWindowsIdentical:
         state = _full_state(fused)
         assert state["streams"] and state["runs"] and state["store_gather"]
         assert state == _full_state(reference)
+
+
+# ---------------------------------------------------------------------------
+# The kernel's per-call trackers (last IERAT and DERAT granule, newest
+# store-gather line) start from nothing on every call
+# ---------------------------------------------------------------------------
+
+#: Windows that fill the ERATs and the store-gather buffer first.
+WARM_WINDOWS = 3
+#: Cycle budget of the driven runner.
+BUDGET = 30000.0
+
+
+def _warm_runner(model_cls):
+    """A runner for the kernel profile on a core warmed by earlier
+    windows, drawing from the core's own RNG streams."""
+    core = _build(model_cls, 2007)
+    for w in range(WARM_WINDOWS):
+        core.execute_window(w)
+    memory, t = core.memory, core.translation
+    assert memory._store_gather
+    assert all(_ways(t.ierat.cache)) and all(_ways(t.derat.cache))
+    core._bank.reset()
+    return core, core.slice_runner_cls(
+        profile=core.schedule.descriptor_for(0).slices[0][0],
+        space=core.space,
+        memory=memory,
+        translation=t,
+        branches=core.branches,
+        accountant=core.accountant_cls(core.machine.latencies, core._rng_pipeline),
+        counters=core._bank,
+        rng=core._rng_stream,
+        tables=core._kernel_tables,
+    )
+
+
+def _drive(model_cls, limits, between=None):
+    """Run one warmed runner to each cycle limit in turn, calling
+    ``between(core)`` before every call but the first."""
+    core, runner = _warm_runner(model_cls)
+    for i, limit in enumerate(limits):
+        if i and between is not None:
+            between(core)
+        runner.run_until(limit)
+    acct = runner.acct
+    return (
+        dict(core._bank.snapshot().counts),
+        (acct.cycles, acct.completed),
+        _full_state(core),
+    )
+
+
+def _reorder_shared_structures(core):
+    """What another runner or the generic path may do between two
+    calls: empty both ERATs and the store-gather buffer."""
+    core.translation.ierat.cache.flush()
+    core.translation.derat.cache.flush()
+    core.memory._store_gather.clear()
+
+
+class TestPerCallTrackers:
+    THIRDS = (BUDGET / 3, 2 * BUDGET / 3, BUDGET)
+
+    def test_split_calls_equal_reference_and_one_call(self):
+        split = _drive(CoreModel, self.THIRDS)
+        assert split == _drive(ReferenceCoreModel, self.THIRDS)
+        assert split == _drive(CoreModel, (BUDGET,))
+
+    def test_no_tracker_survives_a_call(self):
+        """Between many short calls the shared structures are emptied;
+        a tracker kept from the previous call would skip a probe that
+        now misses."""
+        limits = [BUDGET * (i + 1) / 40 for i in range(40)]
+        fused = _drive(CoreModel, limits, _reorder_shared_structures)
+        assert fused == _drive(ReferenceCoreModel, limits, _reorder_shared_structures)
+        assert fused != _drive(CoreModel, limits)
 
 
 def test_reference_runner_never_fuses():

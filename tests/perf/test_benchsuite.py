@@ -63,6 +63,7 @@ class TestRunSuite:
             "cache_kernel",
             "counter_kernel",
             "window_execution",
+            "characterize_windows",
             "reproduce_all_fused",
             "sut_tick_loop",
             "run_analysis",
@@ -73,6 +74,8 @@ class TestRunSuite:
             assert entry["best_s"] > 0
         # Size parameters travel with the measurement.
         assert results["window_execution"]["windows"] == 4
+        assert results["characterize_windows"]["windows"] == 4
+        assert results["characterize_windows"]["duration_s"] == 60.0
         assert results["cache_kernel"]["accesses"] == 50_000
         assert results["reproduce_all_fused"]["modules"] == [
             "fig05_cpi",

@@ -19,6 +19,7 @@ ALL_KERNELS = {
     "cache_kernel",
     "counter_kernel",
     "window_execution",
+    "characterize_windows",
     "reproduce_all_fused",
     "sut_tick_loop",
     "run_analysis",
