@@ -685,18 +685,3 @@ class ExperimentConfig:
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Return a copy with top-level fields replaced."""
         return replace(self, **kwargs)
-
-
-def small_test_config(seed: int = 2007) -> ExperimentConfig:
-    """A drastically scaled-down configuration for fast unit tests.
-
-    Shrinks run length, method population and window size while keeping
-    every ratio the paper's findings depend on (heap-to-live ratio, GC
-    cost model, transaction mix, cache-to-working-set proportions).
-    """
-    return ExperimentConfig(
-        seed=seed,
-        jvm=JvmConfig(n_jited_methods=600, warm_methods=40),
-        workload=WorkloadConfig(duration_s=300.0, ramp_up_s=30.0, ramp_down_s=15.0),
-        sampling=SamplingConfig(window_cycles=6000, warmup_windows=4),
-    )

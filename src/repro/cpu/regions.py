@@ -101,10 +101,6 @@ class Region:
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end
 
-    def page_number(self, addr: int) -> int:
-        """Global page number of ``addr`` at this region's page size."""
-        return addr // self.page_bytes
-
     def random_address(self, rng) -> int:
         """A uniformly random byte address inside the region."""
         return self.base + rng.randrange(self.size_bytes)

@@ -4,7 +4,8 @@ One module per item of the paper's evaluation section.  Each module
 exposes a ``run(config=None, ...)`` entry point returning a result
 object with:
 
-* ``rows()`` — the paper's reported values next to the measured ones;
+* ``rows()`` — the measured values, each judged by its band in
+  :data:`repro.conformance.BANDS`;
 * ``render_lines()`` — a printable reproduction of the figure/table.
 
 The benchmark suite (``benchmarks/``) and the examples call these

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
+from repro import conformance
 from repro.config import ExperimentConfig, SamplingConfig
 from repro.obs import runtime as _obs
 from repro.obs.trace import WALL
@@ -57,16 +59,38 @@ def simulate(
 
 @dataclass(frozen=True)
 class Row:
-    """One line of a paper-vs-measured table."""
+    """One line of a paper-vs-measured table: ``value`` is judged by
+    the band ``key`` (:data:`repro.conformance.BANDS`), which also gives
+    the paper column; ``config`` resolves a band scaled to the run."""
 
     label: str
-    paper: str
+    key: str
+    value: float
     measured: str
-    ok: Optional[bool] = None
+    config: Optional[ExperimentConfig] = None
+
+    def __post_init__(self) -> None:
+        conformance.band(self.key)  # an unknown key fails here
+
+    @property
+    def band(self) -> conformance.Band:
+        return conformance.band(self.key).for_config(self.config)
+
+    @property
+    def mark(self) -> str:
+        """``ok``, ``gap N``, ``ext`` or ``OFF``."""
+        return self.band.mark(self.value)
+
+    @property
+    def ok(self) -> bool:
+        """False only for an ``[OFF]`` row."""
+        return self.mark != conformance.OFF
 
     def render(self) -> str:
-        mark = "" if self.ok is None else ("  [ok]" if self.ok else "  [OFF]")
-        return f"  {self.label:42s} paper: {self.paper:>18s}   measured: {self.measured:>18s}{mark}"
+        return (
+            f"  {self.label:42s} paper: {self.band.claim:>18s}   "
+            f"measured: {self.measured:>18s}  [{self.mark}]"
+        )
 
 
 def fmt(value: Number, nd: int = 2, unit: str = "") -> str:
@@ -75,8 +99,16 @@ def fmt(value: Number, nd: int = 2, unit: str = "") -> str:
     return f"{value:.{nd}f}{unit}"
 
 
-def within(value: float, lo: float, hi: float) -> bool:
-    return lo <= value <= hi
+def ratio(num: float, den: float) -> float:
+    """``num / den``; x/0 is inf and 0/0 NaN, which no band contains."""
+    if den:
+        return num / den
+    return math.copysign(math.inf, num) if num else math.nan
+
+
+def least(*values: float) -> float:
+    """``min(values)``, but NaN if any is NaN (``min`` may drop it)."""
+    return math.nan if any(map(math.isnan, values)) else min(values)
 
 
 def header(title: str) -> List[str]:

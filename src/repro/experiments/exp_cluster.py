@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import ExperimentConfig
-from repro.experiments.common import Row, bench_config, header, simulate
+from repro.experiments.common import Row, bench_config, header, ratio, simulate
 from repro.workload.cluster import ClusterLayout, ClusterRunResult, ClusterSUT
 from repro.workload.metrics import BenchmarkReport, evaluate_run
 
@@ -33,31 +33,32 @@ class ClusterResult:
     def rows(self) -> List[Row]:
         equal = self.clusters["equal-cores"]
         scaled = self.clusters["scaled-out"]
+        blade_gcs = sum(equal.gc_events_per_blade)
         return [
             Row(
                 "single server beats equal-core cluster",
-                "single wins/ties",
+                "cluster.single_over_equal",
+                ratio(self.single.jops, equal.jops),
                 f"{self.single.jops:.0f} vs {equal.jops:.0f} JOPS",
-                ok=self.single.jops >= equal.jops * 0.97,
             ),
             Row(
                 "cluster bottleneck is one tier",
-                "app tier",
+                "cluster.app_bottleneck",
+                equal.bottleneck_tier == "app",
                 equal.bottleneck_tier,
-                ok=equal.bottleneck_tier == "app",
             ),
             Row(
                 "scaling out the bottleneck tier helps",
-                "more JOPS",
+                "cluster.scale_out_gain",
+                ratio(scaled.jops, equal.jops),
                 f"{equal.jops:.0f} -> {scaled.jops:.0f}",
-                ok=scaled.jops > equal.jops,
             ),
             Row(
                 "blade heaps collect more often",
-                "smaller heaps",
-                f"{sum(equal.gc_events_per_blade)} blade GCs vs "
+                "cluster.blade_gc_ratio",
+                ratio(blade_gcs, self.single.gc_count),
+                f"{blade_gcs} blade GCs vs "
                 f"{self.single.gc_count} single-server GCs",
-                ok=sum(equal.gc_events_per_blade) > self.single.gc_count,
             ),
         ]
 

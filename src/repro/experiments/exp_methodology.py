@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import ExperimentConfig
 from repro.core.characterization import Characterization
 from repro.core.correlation import CpiCorrelationStudy
-from repro.experiments.common import Row, bench_config, fmt, header
+from repro.experiments.common import Row, bench_config, fmt, header, ratio
 from repro.hpm.events import Event
 
 #: Window budgets (per counter group) compared against the reference.
@@ -56,21 +56,21 @@ class MethodologyResult:
         return [
             Row(
                 "correlation error shrinks with window budget",
-                "monotone-ish",
+                "methodology.error_shrink",
+                ratio(deviations[-1], deviations[0]),
                 " -> ".join(f"{d:.3f}" for d in deviations),
-                ok=deviations[-1] < deviations[0],
             ),
             Row(
                 f"error at {budgets[-1]} windows/group",
-                "small",
+                "methodology.error_at_max_budget",
+                deviations[-1],
                 fmt(deviations[-1], 3),
-                ok=deviations[-1] < 0.25,
             ),
             Row(
                 "decisive signs stable across run stretches",
-                f"{len(DECISIVE_EVENTS)}/{len(DECISIVE_EVENTS)}",
+                "methodology.sign_flips",
+                len(self.sign_agreement) - agreement,
                 f"{agreement}/{len(self.sign_agreement)}",
-                ok=agreement >= len(self.sign_agreement) - 1,
             ),
         ]
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from repro.config import ExperimentConfig
 from repro.core.characterization import Characterization, HardwareSummary
 from repro.core.whatif import Estimate, objprof_scenarios
-from repro.experiments.common import Row, bench_config, header
+from repro.experiments.common import Row, bench_config, header, ratio
 from repro.experiments.exp_whatif import ScenarioOutcome, _measure_cpi
 from repro.hpm.events import Event
 from repro.obs import objprof
@@ -54,32 +54,31 @@ class ObjProfResult:
     estimates: Dict[str, Estimate] = field(default_factory=dict)
 
     def rows(self) -> List[Row]:
+        charged = self.profile.total(objprof.SLOT_LD_MISS)
         rows = [
             Row(
                 "site byte ledger reconciles with heap aggregates",
-                "exact",
+                "objprof.ledger_reconciles",
+                all(self.reconciliation.values()),
                 ", ".join(
                     f"{k}={'ok' if v else 'MISMATCH'}"
                     for k, v in sorted(self.reconciliation.items())
                 ),
-                ok=all(self.reconciliation.values()),
             ),
             Row(
                 "every sampled L1D load miss charged to a site",
-                f">= {self.sampled_ld_misses}",
-                f"{self.profile.total(objprof.SLOT_LD_MISS)}",
-                ok=self.profile.total(objprof.SLOT_LD_MISS)
-                >= self.sampled_ld_misses
-                > 0,
+                "objprof.ld_miss_coverage",
+                ratio(charged, self.sampled_ld_misses),
+                f"{charged}",
             ),
         ]
         for outcome in self.outcomes.values():
             rows.append(
                 Row(
                     f"{outcome.name}: direction of effect",
-                    f"est {outcome.estimate.cpi_delta:+.3f} CPI",
+                    "whatif.direction_agrees",
+                    outcome.direction_agrees,
                     f"sim {outcome.simulated_delta:+.3f} CPI",
-                    ok=outcome.direction_agrees,
                 )
             )
         return rows

@@ -29,6 +29,7 @@ quick to bench configs unchanged.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -39,7 +40,7 @@ from repro.config import (
     FaultEvent,
     RetryPolicy,
 )
-from repro.experiments.common import Row, bench_config, header, simulate
+from repro.experiments.common import Row, bench_config, header, least, ratio, simulate
 from repro.workload.metrics import (
     ResilienceReport,
     evaluate_resilience,
@@ -120,8 +121,8 @@ class ResilienceResult:
     def rows(self) -> List[Row]:
         base = self.scenarios["fault-free"]
         db = self.scenarios["db-slowdown"]
-        crash = self.scenarios["crash-no-retry"]
-        crash_retry = self.scenarios["crash-retry"]
+        crash = self.scenarios["crash-no-retry"].report
+        crash_retry = self.scenarios["crash-retry"].report
         brown = self.scenarios["overload-brownout"]
         hard = self.scenarios["overload-hard"]
 
@@ -141,47 +142,48 @@ class ResilienceResult:
         return [
             Row(
                 "fault-free run loses nothing",
-                "availability ~100%",
+                "resilience.fault_free_availability",
+                base.report.availability,
                 f"{base.report.availability * 100:.2f}%",
-                ok=base.report.availability > 0.999 and base.report.failed_ops == 0,
             ),
             Row(
                 "DB slowdown degrades goodput while active",
-                "goodput drops",
+                "resilience.db_goodput_ratio",
+                ratio(db_during, base_during),
                 f"{base_during:.1f} -> {db_during:.1f} ops/s",
-                ok=db_during < 0.90 * base_during,
             ),
             Row(
                 "goodput recovers after the DB fault clears",
-                "finite recovery",
+                "resilience.db_recovery_s",
+                db.recover_s if db.recover_s is not None else math.inf,
                 f"{db.recover_s:.0f} s"
                 if db.recover_s is not None
                 else "never",
-                ok=db.recover_s is not None,
             ),
             Row(
                 "every fault type measurably degrades the run",
-                "4 of 4",
+                "resilience.degraded_fault_types",
+                len(degraded),
                 f"{len(degraded)} of 4",
-                ok=len(degraded) == 4,
             ),
             Row(
                 "retry+backoff beats no-retry under a crash",
-                "higher goodput",
-                f"{crash.report.successful_ops} -> "
-                f"{crash_retry.report.successful_ops} ops "
-                f"({crash.report.availability * 100:.1f}% -> "
-                f"{crash_retry.report.availability * 100:.1f}%)",
-                ok=crash_retry.report.successful_ops > crash.report.successful_ops
-                and crash_retry.report.availability > crash.report.availability,
+                "resilience.retry_gain",
+                least(
+                    ratio(crash_retry.successful_ops, crash.successful_ops),
+                    ratio(crash_retry.availability, crash.availability),
+                ),
+                f"{crash.successful_ops} -> "
+                f"{crash_retry.successful_ops} ops "
+                f"({crash.availability * 100:.1f}% -> "
+                f"{crash_retry.availability * 100:.1f}%)",
             ),
             Row(
                 "brownout preserves high-priority goodput",
-                "web goodput up",
+                "resilience.brownout_web_gain",
+                ratio(_web_goodput(brown.result), _web_goodput(hard.result)),
                 f"{_web_goodput(hard.result):.1f} -> "
                 f"{_web_goodput(brown.result):.1f} web ops/s",
-                ok=_web_goodput(brown.result) > _web_goodput(hard.result)
-                and brown.report.shed_ops > 0,
             ),
         ]
 

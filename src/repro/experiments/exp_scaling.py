@@ -31,7 +31,7 @@ from repro.config import (
     TopologyConfig,
 )
 from repro.core.characterization import Characterization, HardwareSummary
-from repro.experiments.common import Row, bench_config, fmt, header, simulate
+from repro.experiments.common import Row, bench_config, fmt, header, least, ratio, simulate
 from repro.workload.metrics import evaluate_run
 
 #: (cores, topology) steps of the scaling study.
@@ -121,39 +121,39 @@ class ScalingResult:
         return self.points[cores].jops / self.points[4].jops
 
     def rows(self) -> List[Row]:
-        p4, p8, p16 = self.points[4], self.points[8], self.points[16]
+        p2, p4, p8, p16 = (self.points[c] for c in (2, 4, 8, 16))
         return [
             Row(
                 "throughput grows with cores",
-                "monotone",
-                f"{self.points[2].jops:.0f} -> {p4.jops:.0f} -> "
+                "scaling.min_step_gain",
+                least(*(ratio(b.jops, a.jops) for a, b in ((p2, p4), (p4, p8), (p8, p16)))),
+                f"{p2.jops:.0f} -> {p4.jops:.0f} -> "
                 f"{p8.jops:.0f} -> {p16.jops:.0f} JOPS",
-                ok=self.points[2].jops < p4.jops < p8.jops < p16.jops,
             ),
             Row(
                 "scaling is sublinear (16 vs 4 cores)",
-                "< 4.0x",
+                "scaling.speedup_16_vs_4",
+                self._speedup(16),
                 fmt(self._speedup(16), 2, "x"),
-                ok=self._speedup(16) < 4.0,
             ),
             Row(
                 "CPI rises with scale",
-                "contention",
+                "scaling.cpi_ratio",
+                ratio(p16.cpi, p4.cpi),
                 f"{p4.cpi:.2f} -> {p16.cpi:.2f}",
-                ok=p16.cpi > p4.cpi,
             ),
             Row(
                 "L2.5 traffic appears with 2 chips/MCM",
-                ">0 at 8+ cores",
+                "scaling.l25_share_8_cores",
+                p8.l25_share,
                 fmt(p8.l25_share * 100, 2, "%"),
-                ok=p8.l25_share > 0.0 and p4.l25_share == 0.0,
             ),
             Row(
                 "remote c2c traffic grows with remote caches",
-                "grows",
+                "scaling.remote_share_growth",
+                p16.remote_share - p4.remote_share,
                 f"{p4.remote_share * 100:.2f}% -> "
                 f"{p16.remote_share * 100:.2f}%",
-                ok=p16.remote_share >= p4.remote_share,
             ),
         ]
 

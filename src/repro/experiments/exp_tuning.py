@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import DiskConfig, ExperimentConfig
-from repro.experiments.common import Row, bench_config, fmt, header, simulate
+from repro.experiments.common import Row, bench_config, fmt, header, ratio, simulate
 from repro.tools.vmstat import VmstatReport
 from repro.workload.metrics import BenchmarkReport, evaluate_run
 from repro.workload.sut import RunResult
@@ -99,56 +99,48 @@ class TuningResult:
 
     def rows(self) -> List[Row]:
         s = self.steps
+        untuned = s["untuned"].report
+        heap = s["+heap"].report
+        tuned = s["+ramdisk"].report
+        jops = [step.report.jops for step in self.steps.values()]
         return [
             Row(
                 "untuned system fails",
-                "fail",
-                "fail" if not s["untuned"].report.passed else "PASSES",
-                ok=not s["untuned"].report.passed,
+                "tuning.untuned_passes",
+                untuned.passed,
+                "fail" if not untuned.passed else "PASSES",
             ),
             Row(
                 "bigger heap slashes GC overhead",
-                "lower GC time",
-                f"{s['untuned'].report.gc_fraction * 100:.1f}% -> "
-                f"{s['+heap'].report.gc_fraction * 100:.1f}%",
-                ok=s["+heap"].report.gc_fraction
-                < s["untuned"].report.gc_fraction * 0.6,
+                "tuning.heap_gc_ratio",
+                ratio(heap.gc_fraction, untuned.gc_fraction),
+                f"{untuned.gc_fraction * 100:.1f}% -> {heap.gc_fraction * 100:.1f}%",
             ),
             Row(
                 "buffer pool tuning cuts physical I/O",
-                "lower disk busy",
-                f"{s['+heap'].report.disk_utilization * 100:.0f}% -> "
+                "tuning.bufferpool_disk_ratio",
+                ratio(s["+bufferpool"].report.disk_utilization, heap.disk_utilization),
+                f"{heap.disk_utilization * 100:.0f}% -> "
                 f"{s['+bufferpool'].report.disk_utilization * 100:.0f}%",
-                ok=s["+bufferpool"].report.disk_utilization
-                < s["+heap"].report.disk_utilization,
             ),
             Row(
                 "tuned system passes at high utilization",
-                "pass, ~90% CPU",
-                f"{'pass' if s['+ramdisk'].report.passed else 'FAIL'}, "
-                f"{s['+ramdisk'].report.utilization * 100:.0f}%",
-                ok=s["+ramdisk"].report.passed
-                and s["+ramdisk"].report.utilization > 0.8,
+                "tuning.tuned_utilization",
+                tuned.utilization,
+                f"{'pass' if tuned.passed else 'FAIL'}, "
+                f"{tuned.utilization * 100:.0f}%",
             ),
             Row(
                 "RAM disk removes the I/O wait",
-                "~0%",
+                "tuning.ramdisk_iowait_pct",
+                s["+ramdisk"].iowait_pct,
                 fmt(s["+ramdisk"].iowait_pct, 1, "%"),
-                ok=s["+ramdisk"].iowait_pct < 1.0,
             ),
             Row(
                 "throughput never regresses along the walk",
-                "monotone-ish",
-                " -> ".join(
-                    f"{step.report.jops:.0f}"
-                    for step in self.steps.values()
-                ),
-                ok=all(
-                    b.report.jops >= a.report.jops - 2.0
-                    for a, b in zip(
-                        list(self.steps.values()), list(self.steps.values())[1:]
-                    )
-                ),
+                "tuning.max_jops_drop",
+                max(a - b for a, b in zip(jops, jops[1:])),
+                " -> ".join(f"{j:.0f}" for j in jops),
             ),
         ]
 

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from repro.config import ExperimentConfig
 from repro.core.characterization import Characterization, HardwareSummary
-from repro.experiments.common import Row, bench_config, header
+from repro.experiments.common import Row, bench_config, header, ratio
 from repro.tools.tprof import TprofReport
 
 
@@ -41,41 +41,39 @@ class WarmupResult:
     jited_share_late: float
 
     def rows(self) -> List[Row]:
+        early, late = self.early, self.late
         return [
             Row(
                 "compiled weight fraction, early vs late",
-                "grows toward 1",
+                "warmup.compiled_late",
+                self.compiled_late,
                 f"{self.compiled_early:.2f} -> {self.compiled_late:.2f}",
-                ok=self.compiled_late > self.compiled_early
-                and self.compiled_late > 0.95,
             ),
             Row(
                 "CPI, early vs late",
-                "higher while interpreting",
-                f"{self.early.cpi:.2f} -> {self.late.cpi:.2f}",
-                ok=self.early.cpi > self.late.cpi,
+                "warmup.cpi_ratio",
+                ratio(early.cpi, late.cpi),
+                f"{early.cpi:.2f} -> {late.cpi:.2f}",
             ),
             Row(
                 "target mispredictions, early vs late",
-                "dispatch loop hurts",
-                f"{self.early.target_mispredict_rate * 100:.1f}% -> "
-                f"{self.late.target_mispredict_rate * 100:.1f}%",
-                ok=self.early.target_mispredict_rate
-                > self.late.target_mispredict_rate,
+                "warmup.target_mispredict_ratio",
+                ratio(early.target_mispredict_rate, late.target_mispredict_rate),
+                f"{early.target_mispredict_rate * 100:.1f}% -> "
+                f"{late.target_mispredict_rate * 100:.1f}%",
             ),
             Row(
                 "branches/instr, early vs late",
-                "higher while interpreting",
-                f"{self.early.branches_per_instr:.3f} -> "
-                f"{self.late.branches_per_instr:.3f}",
-                ok=self.early.branches_per_instr > self.late.branches_per_instr,
+                "warmup.branch_density_ratio",
+                ratio(early.branches_per_instr, late.branches_per_instr),
+                f"{early.branches_per_instr:.3f} -> {late.branches_per_instr:.3f}",
             ),
             Row(
                 "tprof JITed share of WAS time grows",
-                "late-run profile is the real one",
+                "warmup.jited_share_ratio",
+                ratio(self.jited_share_late, self.jited_share_early),
                 f"{self.jited_share_early * 100:.0f}% -> "
                 f"{self.jited_share_late * 100:.0f}%",
-                ok=self.jited_share_late > self.jited_share_early,
             ),
         ]
 

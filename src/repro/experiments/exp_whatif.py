@@ -51,16 +51,15 @@ class WhatIfResult:
     outcomes: Dict[str, ScenarioOutcome]
 
     def rows(self) -> List[Row]:
-        rows = []
-        for outcome in self.outcomes.values():
-            rows.append(
-                Row(
-                    f"{outcome.name}: direction of effect",
-                    f"est {outcome.estimate.cpi_delta:+.3f} CPI",
-                    f"sim {outcome.simulated_delta:+.3f} CPI",
-                    ok=outcome.direction_agrees,
-                )
+        rows = [
+            Row(
+                f"{outcome.name}: direction of effect",
+                "whatif.direction_agrees",
+                outcome.direction_agrees,
+                f"sim {outcome.simulated_delta:+.3f} CPI",
             )
+            for outcome in self.outcomes.values()
+        ]
         best_est = min(
             self.outcomes.values(), key=lambda o: o.estimate.cpi_delta
         )
@@ -68,9 +67,9 @@ class WhatIfResult:
         rows.append(
             Row(
                 "largest estimated gain also largest simulated",
-                best_est.name,
+                "whatif.best_matches",
+                best_est.name == best_sim.name,
                 best_sim.name,
-                ok=best_est.name == best_sim.name,
             )
         )
         return rows

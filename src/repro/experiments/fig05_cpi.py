@@ -17,7 +17,7 @@ from repro.core.characterization import Characterization
 from repro.core.vertical import gc_alignment
 from repro.cpu.core_model import CoreModel, StaticSchedule
 from repro.cpu.phases import PhaseDescriptor, idle_profile
-from repro.experiments.common import Row, bench_config, fmt, header, within
+from repro.experiments.common import Row, bench_config, fmt, header
 from repro.experiments.hpm_segment import Segment, sample_segment
 from repro.util.rng import RngFactory
 
@@ -35,31 +35,31 @@ class Figure5Result:
 
     def rows(self) -> List[Row]:
         return [
-            Row("CPI (loaded system)", "~3", fmt(self.cpi, 2), ok=within(self.cpi, 2.4, 3.8)),
-            Row("CPI (idle system)", "~0.7", fmt(self.idle_cpi, 2), ok=within(self.idle_cpi, 0.5, 1.0)),
+            Row("CPI (loaded system)", "hw.cpi", self.cpi, fmt(self.cpi, 2)),
+            Row("CPI (idle system)", "hw.idle_cpi", self.idle_cpi, fmt(self.idle_cpi)),
             Row(
                 "speculation rate (dispatched/completed)",
-                "~2.2-2.5",
+                "hw.speculation_rate",
+                self.speculation_rate,
                 fmt(self.speculation_rate, 2),
-                ok=within(self.speculation_rate, 1.9, 2.8),
             ),
             Row(
                 "L1D miss rate",
-                "~14%",
+                "hw.l1d_miss_rate",
+                self.l1d_miss_rate,
                 fmt(self.l1d_miss_rate * 100, 1, "%"),
-                ok=within(self.l1d_miss_rate, 0.09, 0.19),
             ),
             Row(
                 "CPI correlation with GC",
-                "no strong correlation",
+                "hw.r_cpi_vs_gc",
+                self.r_cpi_gc,
                 fmt(self.r_cpi_gc, 2),
-                ok=abs(self.r_cpi_gc) < 0.5,
             ),
             Row(
                 "speculation correlation with GC",
-                "no strong correlation",
+                "hw.r_speculation_vs_gc",
+                self.r_spec_gc,
                 fmt(self.r_spec_gc, 2),
-                ok=abs(self.r_spec_gc) < 0.5,
             ),
         ]
 

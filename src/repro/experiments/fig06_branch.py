@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.config import ExperimentConfig
 from repro.core.characterization import Characterization
-from repro.experiments.common import Row, bench_config, fmt, header, within
+from repro.experiments.common import Row, bench_config, fmt, header, ratio
 from repro.experiments.hpm_segment import Segment, sample_segment
 from repro.hpm.events import Event
 
@@ -33,35 +33,35 @@ class Figure6Result:
         rows = [
             Row(
                 "conditional misprediction rate",
-                "~6%",
+                "hw.cond_mispredict_rate",
+                self.cond_mispredict,
                 fmt(self.cond_mispredict * 100, 1, "%"),
-                ok=within(self.cond_mispredict, 0.03, 0.09),
             ),
             Row(
                 "indirect target misprediction rate",
-                "~5%",
+                "hw.target_mispredict_rate",
+                self.target_mispredict,
                 fmt(self.target_mispredict * 100, 1, "%"),
-                ok=within(self.target_mispredict, 0.03, 0.32),
             ),
         ]
         if self.branches_per_instr_gc is not None:
             rows.append(
                 Row(
                     "branches/instr during GC vs mutator",
-                    "more during GC",
+                    "hw.gc_branch_density_ratio",
+                    ratio(self.branches_per_instr_gc, self.branches_per_instr_mutator),
                     f"{fmt(self.branches_per_instr_gc, 3)} vs "
                     f"{fmt(self.branches_per_instr_mutator, 3)}",
-                    ok=self.branches_per_instr_gc > self.branches_per_instr_mutator,
                 )
             )
         if self.cond_mispredict_gc is not None:
             rows.append(
                 Row(
                     "misprediction during GC vs mutator",
-                    "fewer during GC",
+                    "hw.gc_cond_mispredict_ratio",
+                    ratio(self.cond_mispredict_gc, self.cond_mispredict),
                     f"{fmt(self.cond_mispredict_gc * 100, 1, '%')} vs "
                     f"{fmt(self.cond_mispredict * 100, 1, '%')}",
-                    ok=self.cond_mispredict_gc < self.cond_mispredict,
                 )
             )
         return rows

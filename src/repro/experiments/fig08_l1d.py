@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.config import ExperimentConfig
 from repro.core.characterization import Characterization
-from repro.experiments.common import Row, bench_config, fmt, header, within
+from repro.experiments.common import Row, bench_config, fmt, header, ratio
 from repro.experiments.hpm_segment import Segment, sample_segment
 
 
@@ -32,42 +32,41 @@ class Figure8Result:
         rows = [
             Row(
                 "loads per L1D load miss",
-                "~12",
+                "hw.l1d_load_miss_rate",
+                self.load_miss,
                 fmt(1.0 / max(1e-9, self.load_miss), 1),
-                ok=within(self.load_miss, 0.055, 0.14),
             ),
             Row(
                 "stores per L1D store miss",
-                "~5",
+                "hw.l1d_store_miss_rate",
+                self.store_miss,
                 fmt(1.0 / max(1e-9, self.store_miss), 1),
-                ok=within(self.store_miss, 0.12, 0.28),
             ),
             Row(
                 "overall L1D miss rate",
-                "~14%",
+                "hw.l1d_miss_rate",
+                self.overall_miss,
                 fmt(self.overall_miss * 100, 1, "%"),
-                ok=within(self.overall_miss, 0.09, 0.19),
             ),
         ]
         if self.store_miss_gc is not None:
             rows.append(
                 Row(
                     "store miss rate during GC",
-                    "lower than mutator",
+                    "hw.gc_store_miss_ratio",
+                    ratio(self.store_miss_gc, self.store_miss),
                     f"{fmt(self.store_miss_gc * 100, 1, '%')} vs "
                     f"{fmt(self.store_miss * 100, 1, '%')}",
-                    ok=self.store_miss_gc < self.store_miss,
                 )
             )
         if self.load_miss_gc is not None:
-            ratio = self.load_miss_gc / max(1e-9, self.load_miss)
             rows.append(
                 Row(
                     "load miss rate during GC",
-                    "relatively unchanged",
+                    "hw.gc_load_miss_ratio",
+                    self.load_miss_gc / max(1e-9, self.load_miss),
                     f"{fmt(self.load_miss_gc * 100, 1, '%')} vs "
                     f"{fmt(self.load_miss * 100, 1, '%')}",
-                    ok=within(ratio, 0.4, 2.5),
                 )
             )
         return rows

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro.config import ExperimentConfig, MachineConfig, TopologyConfig
 from repro.core.characterization import Characterization, HardwareSummary
 from repro.cpu.sources import DataSource
-from repro.experiments.common import Row, bench_config, fmt, header, within
+from repro.experiments.common import Row, bench_config, fmt, header, ratio
 from repro.workload.presets import tpcw_like
 
 
@@ -42,63 +42,55 @@ class Figure9Result:
 
     def rows(self) -> List[Row]:
         s = self.shares
+        l25 = s.get(DataSource.L25_SHR, 0.0) + s.get(DataSource.L25_MOD, 0.0)
         rows = [
             Row(
                 "satisfied from local L2",
-                "~75%",
+                "hw.l2_share_of_l1d_misses",
+                s[DataSource.L2],
                 fmt(s[DataSource.L2] * 100, 1, "%"),
-                ok=within(s[DataSource.L2], 0.65, 0.85),
             ),
             Row(
                 "satisfied from L3",
-                "~15%",
+                "hw.l3_share_of_l1d_misses",
+                s[DataSource.L3],
                 fmt(s[DataSource.L3] * 100, 1, "%"),
-                ok=within(s[DataSource.L3], 0.08, 0.22),
             ),
             Row(
                 "satisfied from memory",
-                "most of the rest",
+                "hw.mem_share_of_l1d_misses",
+                s[DataSource.MEM],
                 fmt(s[DataSource.MEM] * 100, 1, "%"),
-                ok=within(s[DataSource.MEM], 0.03, 0.14),
             ),
             Row(
                 "L2.75 modified (c2c) share",
-                "very little",
+                "hw.modified_c2c_share",
+                self.modified_share,
                 fmt(self.modified_share * 100, 2, "%"),
-                ok=self.modified_share < 0.01,
             ),
             Row(
                 "L2.5 share (one live chip per MCM)",
-                "0%",
-                fmt(
-                    (
-                        s.get(DataSource.L25_SHR, 0.0)
-                        + s.get(DataSource.L25_MOD, 0.0)
-                    )
-                    * 100,
-                    2,
-                    "%",
-                ),
-                ok=s.get(DataSource.L25_SHR, 0.0) + s.get(DataSource.L25_MOD, 0.0)
-                == 0.0,
+                "hw.l25_share",
+                l25,
+                fmt(l25 * 100, 2, "%"),
             ),
         ]
         if self.tpcw_modified_share is not None:
             rows.append(
                 Row(
                     "TPC-W-like modified c2c share",
-                    "large (Cain et al.)",
+                    "hw.tpcw_modified_c2c_ratio",
+                    ratio(self.tpcw_modified_share, self.modified_share),
                     fmt(self.tpcw_modified_share * 100, 1, "%"),
-                    ok=self.tpcw_modified_share > self.modified_share * 5,
                 )
             )
         if self.l25_single_mcm is not None:
             rows.append(
                 Row(
                     "L2.5 share with 2 chips on one MCM",
-                    "appears (topology)",
+                    "hw.l25_share_two_chips",
+                    self.l25_single_mcm,
                     fmt(self.l25_single_mcm * 100, 1, "%"),
-                    ok=self.l25_single_mcm > 0.0,
                 )
             )
         return rows

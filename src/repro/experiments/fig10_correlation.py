@@ -45,100 +45,64 @@ class Figure10Result:
     def rows(self) -> List[Row]:
         r = self.report.r_of
         e = Event
-        pref = max(r(e.PM_L1_PREF), r(e.PM_L2_PREF), r(e.PM_STREAM_ALLOC))
-        ifetch_deep = max(
-            r(e.PM_INST_FROM_L2), r(e.PM_INST_FROM_L3), r(e.PM_INST_FROM_MEM)
-        )
-        xlate = max(r(e.PM_DERAT_MISS), r(e.PM_DTLB_MISS))
-        rows = [
-            Row("prefetch events vs CPI", "strong +", fmt(pref, 2), ok=pref > 0.15),
-            Row(
-                "SYNC vs CPI",
-                "strong +",
-                fmt(r(e.PM_SYNC_CNT), 2),
-                ok=r(e.PM_SYNC_CNT) > 0.1,
-            ),
-            Row(
-                "translation misses vs CPI",
-                "strong +",
-                fmt(xlate, 2),
-                ok=xlate > 0.10,
-            ),
-            Row(
-                "instruction fetch beyond L1 vs CPI",
-                "positive",
-                fmt(ifetch_deep, 2),
-                ok=ifetch_deep > 0.05,
-            ),
-            Row(
-                "data from memory vs CPI",
-                "positive",
-                fmt(r(e.PM_DATA_FROM_MEM), 2),
-                ok=r(e.PM_DATA_FROM_MEM) > 0.05,
-            ),
-            Row(
-                "cycles w/ instr completed vs CPI",
-                "negative",
-                fmt(r(e.PM_CYC_INST_CMPL), 2),
-                ok=r(e.PM_CYC_INST_CMPL) < -0.3,
-            ),
-            Row(
-                "instr fetched from L1I vs CPI",
-                "negative",
-                fmt(r(e.PM_INST_FROM_L1), 2),
-                ok=r(e.PM_INST_FROM_L1) < -0.3,
-            ),
-            Row(
-                "L1D load miss vs CPI",
-                "weak",
-                fmt(r(e.PM_LD_MISS_L1), 2),
-                ok=abs(r(e.PM_LD_MISS_L1)) < 0.45,
-            ),
-            Row(
-                "conditional mispredictions vs CPI",
-                "strong + (weaker here)",
-                fmt(r(e.PM_BR_MPRED_CR), 2),
-                ok=r(e.PM_BR_MPRED_CR) > -0.45,
-            ),
-        ]
         c = self.report
-        if c.r_target_miss_vs_icache_miss is not None:
-            rows.append(
-                Row(
-                    "r(target mispred, icache miss)",
-                    "strong +",
-                    fmt(c.r_target_miss_vs_icache_miss, 2),
-                    ok=c.r_target_miss_vs_icache_miss > 0.05,
-                )
-            )
-        if c.r_speculation_vs_l1_miss is not None:
-            rows.append(
-                Row(
-                    "r(speculation rate, L1 miss rate)",
-                    "~0.1",
-                    fmt(c.r_speculation_vs_l1_miss, 2),
-                    ok=abs(c.r_speculation_vs_l1_miss) < 0.45,
-                )
-            )
-        if c.r_branches_vs_target_miss is not None:
-            rows.append(
-                Row(
-                    "r(branches, target mispred)",
-                    "~-0.07 (none)",
-                    fmt(c.r_branches_vs_target_miss, 2),
-                    ok=abs(c.r_branches_vs_target_miss) < 0.45,
-                )
-            )
-        if c.r_cond_miss_vs_branches is not None:
-            rows.append(
-                Row(
-                    "r(cond mispred, branches)",
-                    "~0.43 (some)",
-                    fmt(c.r_cond_miss_vs_branches, 2),
-                    ok=c.r_cond_miss_vs_branches > -0.3,
-                )
-            )
-        return rows
+        mem, l1i = r(e.PM_DATA_FROM_MEM), r(e.PM_INST_FROM_L1)
+        judged = (
+            (
+                "prefetch events vs CPI",
+                "corr.r_prefetch_vs_cpi",
+                max(r(e.PM_L1_PREF), r(e.PM_L2_PREF), r(e.PM_STREAM_ALLOC)),
+            ),
+            ("SYNC vs CPI", "corr.r_sync_vs_cpi", r(e.PM_SYNC_CNT)),
+            (
+                "translation misses vs CPI",
+                "corr.r_translation_vs_cpi",
+                max(r(e.PM_DERAT_MISS), r(e.PM_DTLB_MISS)),
+            ),
+            (
+                "instruction fetch beyond L1 vs CPI",
+                "corr.r_ifetch_beyond_l1_vs_cpi",
+                max(r(e.PM_INST_FROM_L2), r(e.PM_INST_FROM_L3), r(e.PM_INST_FROM_MEM)),
+            ),
+            ("data from memory vs CPI", "corr.r_data_from_mem_vs_cpi", mem),
+            (
+                "cycles w/ instr completed vs CPI",
+                "corr.r_cycles_completing_vs_cpi",
+                r(e.PM_CYC_INST_CMPL),
+            ),
+            ("instr fetched from L1I vs CPI", "corr.r_inst_from_l1i_vs_cpi", l1i),
+            ("L1D load miss vs CPI", "corr.r_l1d_load_miss_vs_cpi", r(e.PM_LD_MISS_L1)),
+            (
+                "conditional mispredictions vs CPI",
+                "corr.r_cond_mispredict_vs_cpi",
+                r(e.PM_BR_MPRED_CR),
+            ),
+            (
+                "r(target mispred, icache miss)",
+                "corr.r_target_miss_vs_icache_miss",
+                c.r_target_miss_vs_icache_miss,
+            ),
+            (
+                "r(speculation rate, L1 miss rate)",
+                "corr.r_speculation_vs_l1_miss",
+                c.r_speculation_vs_l1_miss,
+            ),
+            (
+                "r(branches, target mispred)",
+                "corr.r_branches_vs_target_miss",
+                c.r_branches_vs_target_miss,
+            ),
+            (
+                "r(cond mispred, branches)",
+                "corr.r_cond_mispredict_vs_branches",
+                c.r_cond_miss_vs_branches,
+            ),
+        )
+        return [
+            Row(label, key, value, fmt(value, 2))
+            for label, key, value in judged
+            if value is not None
+        ]
 
     def render_lines(self) -> List[str]:
         lines = header("Figure 10: CPI Statistical Correlation (r)")

@@ -233,7 +233,7 @@ class ReproduceAllResult:
             lines.append(row)
         if self.rows_off:
             lines.append("")
-            lines.append("  off-band rows (see EXPERIMENTS.md known gaps):")
+            lines.append("  [OFF] rows (EXPERIMENTS.md, \"Conformance bands\"):")
             for title, label in self.rows_off:
                 lines.append(f"    {title}: {label}")
         return lines
@@ -328,7 +328,7 @@ def _execute(task: Tuple[str, str, dict, ExperimentConfig]) -> ReproductionRecor
         module=module_name,
         seconds=elapsed,
         rows_total=len(rows),
-        rows_off=[r.label for r in rows if r.ok is False],
+        rows_off=[r.label for r in rows if not r.ok],
         lines=result.render_lines(),
         cache_hits=delta.hits + delta.disk_hits,
         cache_misses=delta.misses,

@@ -23,7 +23,7 @@ from repro.core.characterization import Characterization
 from repro.cpu.core_model import CoreModel, StaticSchedule
 from repro.cpu.phases import PhaseDescriptor, kernel_profile
 from repro.cpu.regions import AddressSpace
-from repro.experiments.common import Row, bench_config, fmt, header, within
+from repro.experiments.common import Row, bench_config, fmt, header, ratio
 from repro.experiments.hpm_segment import sample_segment
 from repro.hpm.events import Event
 from repro.util.rng import RngFactory
@@ -48,44 +48,43 @@ class LockingResult:
         rows = [
             Row(
                 "instructions per LARX",
-                "~600",
+                "hw.instr_per_larx",
+                self.instr_per_larx,
                 fmt(self.instr_per_larx, 0),
-                ok=within(self.instr_per_larx, 380, 950),
             ),
             Row(
                 "share of instructions acquiring locks",
-                "~3%",
+                "locking.lock_instr_share",
+                self.lock_acquisition_share,
                 fmt(self.lock_acquisition_share * 100, 1, "%"),
-                ok=within(self.lock_acquisition_share, 0.015, 0.06),
             ),
             Row(
                 "STCX failure rate (contention proxy)",
-                "little contention",
+                "locking.stcx_fail_rate",
+                self.stcx_fail_rate,
                 fmt(self.stcx_fail_rate * 100, 1, "%"),
-                ok=self.stcx_fail_rate < 0.05,
             ),
             Row(
                 "SYNC in SRQ, user-level cycles",
-                "<1%",
+                "locking.sync_srq_user",
+                self.sync_srq_user,
                 fmt(self.sync_srq_user * 100, 2, "%"),
-                ok=self.sync_srq_user < 0.01,
             ),
             Row(
                 "SYNC in SRQ, privileged cycles",
-                "~7%",
+                "locking.sync_srq_kernel",
+                self.sync_srq_kernel,
                 fmt(self.sync_srq_kernel * 100, 1, "%"),
-                ok=within(self.sync_srq_kernel, 0.03, 0.12),
             ),
         ]
         if self.sync_per_instr_gc is not None:
             rows.append(
                 Row(
                     "SYNCs during GC vs mutator",
-                    "far fewer during GC",
+                    "locking.gc_sync_ratio",
+                    ratio(self.sync_per_instr_gc, self.sync_per_instr_mutator),
                     f"{self.sync_per_instr_gc:.2e} vs "
                     f"{self.sync_per_instr_mutator:.2e} /instr",
-                    ok=self.sync_per_instr_gc
-                    < self.sync_per_instr_mutator * 0.75,
                 )
             )
         return rows

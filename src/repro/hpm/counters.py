@@ -9,7 +9,7 @@ reports (CPI, speculation rate, per-instruction miss rates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping
 
 from repro.hpm.events import EVENTS, EVENT_INDEX, N_EVENTS, Event
 
@@ -39,19 +39,6 @@ class CounterBank:
         if n < 0:
             raise ValueError(f"negative increment for {event}: {n}")
         self.data[EVENT_INDEX[event]] += n
-
-    def add_batch(self, increments: Iterable[Tuple[int, int]]) -> None:
-        """Apply ``(slot_index, n)`` increments in one call.
-
-        The batch counterpart of :meth:`add` for code that accumulates
-        several events locally (e.g. one fetch block's worth) and
-        flushes them together.
-        """
-        data = self.data
-        for index, n in increments:
-            if n < 0:
-                raise ValueError(f"negative increment for slot {index}: {n}")
-            data[index] += n
 
     def value(self, event: Event) -> int:
         return self.data[EVENT_INDEX[event]]

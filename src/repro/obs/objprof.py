@@ -692,10 +692,6 @@ class SiteReport:
         return self.counts[SLOT_DERAT_MISS]
 
     @property
-    def dtlb_misses(self) -> int:
-        return self.counts[SLOT_DTLB_MISS]
-
-    @property
     def mem_sourced(self) -> int:
         return self.counts[SLOT_OF_SOURCE[DataSource.MEM]]
 
@@ -727,12 +723,6 @@ class SiteProfile:
     reports: List[SiteReport]
     instructions: int = 0
     n_heaps: int = 0
-
-    def by_name(self, name: str) -> SiteReport:
-        for report in self.reports:
-            if report.site.name == name:
-                return report
-        raise KeyError(name)
 
     @property
     def heap_reports(self) -> List[SiteReport]:

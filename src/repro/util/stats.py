@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -222,15 +222,6 @@ class SummaryStats:
     std: float
     minimum: float
     maximum: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
 
 
 def summarize(values: Sequence[float]) -> SummaryStats:

@@ -12,7 +12,11 @@ probe) is tier-1; the Figure 10 correlation campaign and the
 large-pages ablation ride in the ``slow`` tier.
 """
 
+import ast
+import inspect
 import math
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +35,9 @@ from repro.conformance import (
     measure_correlation,
     measure_pages,
 )
-from repro.experiments.common import bench_config
+from repro.experiments.common import bench_config, quick_config
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def band_params(cost):
@@ -47,6 +53,14 @@ def band_params(cost):
             )
         params.append(pytest.param(band, id=band.key, marks=marks))
     return params
+
+
+def assert_waivers_explained(cost, values):
+    """Each waived band misses its interval inside its gap's range (a
+    strict xfail alone would also swallow a value outside that range)."""
+    for band in bands_for(cost):
+        if band.waiver is not None:
+            assert band.explained(values[band.key]), (band.key, values[band.key])
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +98,9 @@ class TestCorrelationBands:
             f"({band.description}; {band.paper_ref})"
         )
 
+    def test_waivers_explained(self, corr_values):
+        assert_waivers_explained(CORRELATION, corr_values)
+
 
 @pytest.mark.slow
 class TestPagesBands:
@@ -97,6 +114,9 @@ class TestPagesBands:
     def test_band(self, band, pages_values):
         value = pages_values[band.key]
         assert band.lo <= value <= band.hi
+
+    def test_waivers_explained(self, pages_values):
+        assert_waivers_explained(PAGES, pages_values)
 
 
 class TestGateOnRealMeasurements:
@@ -131,6 +151,18 @@ class TestGateOnRealMeasurements:
         assert len(doc["bands"]) == len(bands_for(CHEAP))
 
 
+def test_quick_scale_gate_passes():
+    """The cheap campaign at quick scale: the Figure 4 warm-head bands
+    judge the 40-method head by their scaled bounds."""
+    config = quick_config(2007)
+    report = evaluate(config, include_slow=False)
+    assert report.passed, "\n".join(report.render_lines())
+    half = next(
+        r for r in report.results if r.band.key == "profile.methods_for_half_jited"
+    )
+    assert (half.band.lo, half.band.hi) == (32.0, 50.0)
+
+
 class TestBandTable:
     """Static sanity of the declarative table."""
 
@@ -141,37 +173,78 @@ class TestBandTable:
     def test_intervals_well_formed(self):
         for b in BANDS:
             assert b.lo <= b.hi, b.key
-            assert b.description and b.paper_ref, b.key
+            assert b.description and b.claim, b.key
+            # Only extension bands go without a paper reference, and
+            # the gate and the waivers judge paper claims alone.
+            assert b.paper_ref or (b.cost is None and b.waiver is None), b.key
+            # A waiver bounds what its gap explains, on both sides.
+            assert (b.waiver is None) == (b.gap_range is None), b.key
 
     def test_costs_known(self):
-        assert {b.cost for b in BANDS} == {CHEAP, CORRELATION, PAGES}
+        assert {b.cost for b in BANDS} == {None, CHEAP, CORRELATION, PAGES}
+        assert len([b for b in BANDS if b.cost is not None]) == 32
 
     def test_waivers_are_exactly_the_known_gaps(self):
         waivers = known_gap_waivers()
-        assert set(waivers) == {1, 2, 3, 4}
-        assert waivers[2] == "hw.target_mispredict_rate"
-        assert waivers[1] == "corr.r_cond_mispredict_vs_cpi"
-        assert waivers[4] == "corr.r_cond_mispredict_vs_branches"
-        assert waivers[3] == "pages.dtlb_hit_gain"
+        assert set(waivers) == {1, 2, 3, 4, 6}
+        assert waivers[2] == ("hw.target_mispredict_rate",)
+        assert waivers[1] == ("corr.r_cond_mispredict_vs_cpi",)
+        assert waivers[4] == ("corr.r_cond_mispredict_vs_branches",)
+        assert waivers[3] == ("pages.dtlb_hit_gain",)
+        assert waivers[6] == ("baselines.jbb_jvm_jit_share",)
+
+    def test_experiments_md_lists_every_waived_band(self):
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        for gap, keys in known_gap_waivers().items():
+            for key in keys:
+                assert f"| {gap} | `{key}` |" in text, key
+
+    def test_every_band_is_read(self):
+        """Each band is judged by an experiment row or measured by a
+        conform campaign, and every key an experiment names exists."""
+        keys = {b.key for b in BANDS}
+        assert all(key.count(".") == 1 for key in keys)
+        namespaces = {key.split(".")[0] for key in keys}
+        row_keys = set()
+        for path in (ROOT / "src/repro/experiments").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.count(".") == 1
+                    and node.value.split(".")[0] in namespaces
+                ):
+                    row_keys.add(node.value)
+        campaign_keys = set()
+        for measure in (measure_cheap, measure_correlation, measure_pages):
+            source = textwrap.dedent(inspect.getsource(measure))
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Dict):
+                    campaign_keys |= {k.value for k in node.keys}
+        assert row_keys <= keys, row_keys - keys
+        assert keys == row_keys | campaign_keys, keys - row_keys - campaign_keys
+        assert campaign_keys == {b.key for b in BANDS if b.cost is not None}
 
 
 class TestStrictWaiverSemantics:
     """The four statuses and the verdict they roll up to."""
 
     CLEAN = Band("k", "d", "ref", 0.0, 1.0)
-    WAIVED = Band("k2", "d", "ref", 0.0, 1.0, waiver=9)
+    WAIVED = Band("k2", "d", "ref", 0.0, 1.0, waiver=9, gap_range=(0.0, 2.0))
 
     def test_statuses(self):
         assert BandResult(self.CLEAN, 0.5).status == "pass"
         assert BandResult(self.CLEAN, 1.5).status == "FAIL"
         assert BandResult(self.WAIVED, 1.5).status == "xfail"
         assert BandResult(self.WAIVED, 0.5).status == "XPASS"
+        assert BandResult(self.WAIVED, 2.5).status == "FAIL"
 
     def test_ok(self):
         assert BandResult(self.CLEAN, 0.5).ok
         assert not BandResult(self.CLEAN, 1.5).ok
         assert BandResult(self.WAIVED, 1.5).ok
         assert not BandResult(self.WAIVED, 0.5).ok
+        assert not BandResult(self.WAIVED, 2.5).ok
 
     def _report(self, config, values):
         return evaluate(config, include_slow=False, measurements=values)
@@ -185,7 +258,7 @@ class TestStrictWaiverSemantics:
 
     def test_regression_fails_the_gate(self, config):
         values = {
-            b.key: (self._mid(b) if b.waiver is None else b.hi + 1.0)
+            b.key: (self._mid(b) if b.waiver is None else self._gap(b))
             for b in bands_for(CHEAP)
         }
         values["hw.cpi"] = 99.0
@@ -195,13 +268,20 @@ class TestStrictWaiverSemantics:
 
     def test_all_expected_shapes_pass(self, config):
         values = {
-            b.key: (self._mid(b) if b.waiver is None else b.hi + 1.0)
+            b.key: (self._mid(b) if b.waiver is None else self._gap(b))
             for b in bands_for(CHEAP)
         }
         report = self._report(config, values)
         assert report.passed
         lines = "\n".join(report.render_lines())
         assert "PASS" in lines and "known gap 2" in lines
+
+    @staticmethod
+    def _gap(band):
+        """A value just above a waived band that its gap explains."""
+        value = math.nextafter(band.hi, math.inf)
+        assert band.explained(value), band.key
+        return value
 
     @staticmethod
     def _mid(band):

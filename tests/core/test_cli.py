@@ -133,7 +133,7 @@ class TestExecution:
         assert code == 0
         out = capsys.readouterr().out
         assert "Object-Centric Heap Profile" in out
-        assert "[ok]" in out
+        assert "[ext]" in out
         doc = json.loads(out_path.read_text())
         assert doc["ranking"]
         assert doc["reconciliation"] == {

@@ -1,5 +1,6 @@
 """Integration tests for the extension experiments: what-if ablation,
-processor scaling, the tuning walk, and the cluster deployment."""
+processor scaling, the tuning walk, the cluster deployment, the heap
+sweep, resilience, the methodology ablation and JIT warm-up."""
 
 import pytest
 
@@ -124,6 +125,25 @@ class TestHeapSweep:
 
     def test_render(self, result):
         assert "Heap Size" in "\n".join(result.render_lines())
+
+
+class TestResilience:
+    @pytest.fixture(scope="class")
+    def result(self, config):
+        from repro.experiments import exp_resilience
+
+        return exp_resilience.run(config)
+
+    def test_all_rows_ok(self, result):
+        assert not off_labels(result)
+
+    def test_brownout_sheds_load(self, result):
+        # The brownout row judges web goodput over hard rejection,
+        # which is only a brownout if it shed low-priority load.
+        assert result.scenarios["overload-brownout"].report.shed_ops > 0
+
+    def test_render(self, result):
+        assert "Resilience" in "\n".join(result.render_lines())
 
 
 class TestMethodologyAblation:

@@ -73,7 +73,7 @@ class TestProfileRun:
         text = "\n".join(lines)
         assert "Object-Centric Heap Profile" in text
         assert "session_state" in text
-        assert "[ok]" in text and "[OFF]" not in text
+        assert "[ext]" in text and "[OFF]" not in text
         doc = profile_result.to_dict()
         assert doc["ranking"] == GOLDEN_RANKING
         assert doc["reconciliation"] == {

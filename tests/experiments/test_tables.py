@@ -87,6 +87,9 @@ class TestBaselines:
         jbb = result.contrasts["jbb2000"]
         assert jbb.gc_percent > jas.gc_percent
         assert jbb.profile.hottest_share > jas.profile.hottest_share * 5
+        # Section 5's other side: jas2004 spends under half its time in
+        # JVM+JITed code (its row judges jbb2000's share alone).
+        assert jas.jited_share < 0.5
 
     def test_render(self, result):
         assert "Simple Java Benchmarks" in "\n".join(result.render_lines())

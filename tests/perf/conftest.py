@@ -48,6 +48,15 @@ def sample_log() -> SampleLog:
     return make_sample_log()
 
 
+@pytest.fixture(scope="session")
+def quick_suite():
+    """One run of the whole quick kernel suite, shared by the test of its
+    shape and the test of the envelope `repro bench --json` writes."""
+    from repro.perf.benchsuite import run_suite
+
+    return run_suite(quick=True)
+
+
 @pytest.fixture(autouse=True)
 def _clean_git_describe(monkeypatch):
     """Stamp bench envelopes with a clean synthetic revision.

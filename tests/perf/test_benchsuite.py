@@ -57,8 +57,8 @@ class TestBestOf:
 
 
 class TestRunSuite:
-    def test_quick_suite_shape(self):
-        results = run_suite(quick=True)
+    def test_quick_suite_shape(self, quick_suite):
+        results = quick_suite
         assert set(results) == {
             "cache_kernel",
             "counter_kernel",

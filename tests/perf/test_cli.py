@@ -58,10 +58,20 @@ class TestBench:
         assert not history.exists()
         assert "Kernel suite (best of 5)" in capsys.readouterr().out
 
-    def test_standalone_envelope(self, tmp_path):
+    def test_standalone_envelope(self, tmp_path, monkeypatch, quick_suite):
+        # The whole quick suite runs once per test run (the shared
+        # fixture); the CLI is handed that run for the same arguments.
+        calls = []
+
+        def shared_run(quick, reps, kernels):
+            calls.append((quick, reps, kernels))
+            return quick_suite
+
+        monkeypatch.setattr("repro.perf.benchsuite.run_suite", shared_run)
         history = tmp_path / "hist.jsonl"
         envelope = tmp_path / "BENCH_suite.json"
         assert bench(history, "--json", str(envelope), kernels=None) == 0
+        assert calls == [(True, 5, None)]
         doc = json.loads(envelope.read_text())
         assert doc["schema"] == 2
         assert doc["kind"] == "perf_suite"
