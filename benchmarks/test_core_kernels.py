@@ -11,9 +11,9 @@ implementations in :mod:`repro.cpu.reference`:
   OrderedDict reference on a mixed hit/miss access trace;
 * **counter_kernel** — slot-indexed ``CounterBank`` increments vs the
   enum-dict reference;
-* **fig10_campaign** — wall-clock of the Figure 10 per-group
-  correlation campaign (the ``reproduce-all --only fig10_correlation``
-  workload) on optimized vs reference cores.
+* **fig10_campaign** — wall-clock of the shared-core Figure 10
+  correlation campaign (the campaign ``fig10_correlation`` runs) on
+  optimized vs reference cores.
 
 Every timing is **best-of-N** (N = ``REPS`` >= 5) through
 :func:`repro.perf.benchsuite.best_of`: each repetition rebuilds the
@@ -37,6 +37,7 @@ import pytest
 from repro.benchio import write_bench_json
 from repro.config import JvmConfig, MachineConfig, SamplingConfig
 from repro.core.characterization import Characterization
+from repro.core.correlation import CpiCorrelationStudy
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.core_model import CoreModel, StaticSchedule
 from repro.cpu.phases import (
@@ -54,7 +55,6 @@ from repro.cpu.regions import AddressSpace
 from repro.experiments.common import quick_config
 from repro.hpm.counters import CounterBank
 from repro.hpm.events import EVENT_INDEX, Event
-from repro.hpm.groups import default_catalog
 from repro.perf.benchsuite import best_of
 from repro.util.rng import RngFactory
 
@@ -225,7 +225,7 @@ class _ReferenceCharacterization(Characterization):
 def _campaign_setup(study_cls, config):
     def setup():
         study = study_cls(config)
-        study.result  # pull the workload simulation outside the timing
+        study.ensure_warm()  # simulate the run and warm the core untimed
         return study
 
     return setup
@@ -233,9 +233,7 @@ def _campaign_setup(study_cls, config):
 
 def _campaign_body(windows_per_group):
     def body(study):
-        for group in default_catalog():
-            hpm = study.group_hpm(group.name)
-            hpm.sample_group(group.name, range(windows_per_group))
+        CpiCorrelationStudy(study.hpm).run(windows_per_group=windows_per_group)
 
     return body
 

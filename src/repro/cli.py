@@ -18,8 +18,8 @@ Commands::
     methodology    sampling-budget ablation for the correlation study
     compare        jas2004 vs the simple-benchmark baselines
     reproduce-all  regenerate the entire paper into one report
-                   (supervised worker pool; --resume FILE makes the
-                   sweep crash-safe and resumable)
+                   (--jobs N: a supervised pool of N workers;
+                   --resume FILE makes it crash-safe and resumable)
     cache          run-cache maintenance: verify / gc / stats
     profile        profile the core-model hot paths (cProfile top-N,
                    sampling flat profile, flamegraph, host-cost drivers)
@@ -108,40 +108,30 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
     study = Characterization(_config(args))
     report = study.run(
-        hw_windows=args.windows,
-        correlation_windows_per_group=args.windows,
-        correlation_jobs=args.jobs,
+        hw_windows=args.windows, correlation_windows_per_group=args.windows
     )
     print(render_report(report))
     return 0
 
 
 _FIGURES = {
-    2: ("fig02_throughput", {}),
-    3: ("fig03_gc", {}),
-    4: ("fig04_profile", {}),
-    5: ("fig05_cpi", {}),
-    6: ("fig06_branch", {}),
-    7: ("fig07_tlb", {}),
-    8: ("fig08_l1d", {}),
-    9: ("fig09_sources", {}),
-    10: ("fig10_correlation", {}),
+    2: "fig02_throughput",
+    3: "fig03_gc",
+    4: "fig04_profile",
+    5: "fig05_cpi",
+    6: "fig06_branch",
+    7: "fig07_tlb",
+    8: "fig08_l1d",
+    9: "fig09_sources",
+    10: "fig10_correlation",
 }
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    import importlib
-
     if args.number not in _FIGURES:
         print(f"no figure {args.number}; choose from {sorted(_FIGURES)}")
         return 2
-    module_name, kwargs = _FIGURES[args.number]
-    module = importlib.import_module(f"repro.experiments.{module_name}")
-    if args.number == 10 and args.jobs > 1:
-        kwargs = dict(kwargs, jobs=args.jobs)
-    result = module.run(_config(args), **kwargs)
-    _emit(result.render_lines())
-    return 0
+    return _simple_experiment(_FIGURES[args.number])(args)
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -512,15 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         "characterize", help="full study + report", parents=[common]
     )
     characterize.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="N>1 runs the correlation campaign's per-group variant in "
-        "N worker processes (byte-identical for any N>1; default 1 "
-        "keeps the classic shared-core campaign)",
-    )
-    characterize.add_argument(
         "--trace-json",
         metavar="FILE",
         default=None,
@@ -532,15 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         "figure", help="regenerate one figure", parents=[common]
     )
     figure.add_argument("number", type=int)
-    figure.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="N>1 runs figure 10's per-group campaign variant in N "
-        "worker processes (byte-identical for any N>1; default 1 keeps "
-        "the classic shared-core campaign)",
-    )
     figure.add_argument(
         "--trace-json",
         metavar="FILE",

@@ -158,9 +158,8 @@ class Characterization:
     #: :meth:`group_core` build through it.
     core_model_cls = CoreModel
 
-    def __init__(self, config: ExperimentConfig, include_kernel: bool = False):
+    def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.include_kernel = include_kernel
         self._rngs = RngFactory(config.seed)
         self._result: Optional[RunResult] = None
         self._registry: Optional[MethodRegistry] = None
@@ -226,7 +225,6 @@ class Characterization:
                 self.registry,
                 self.space,
                 self._rngs.fork("bridge"),
-                include_kernel=self.include_kernel,
                 jit=self.jit,
             )
             self._core = self.core_model_cls(
@@ -265,20 +263,19 @@ class Characterization:
         return self.hpm.sample_all(range(start, start + n))
 
     def group_core(self, group_name: str) -> CoreModel:
-        """A warmed core dedicated to one counter group's campaign.
+        """A fresh warmed core beside :attr:`core`, for benchmarks.
 
-        The core draws from RNG forks named after the group
-        (``bridge.corr.<group>`` / ``cpu.corr.<group>``), which are
-        derived statelessly from the config seed — so per-group
-        measurement campaigns are order-independent and can run in
-        parallel processes (:func:`repro.core.correlation.run_group_campaign`).
+        The core draws from RNG forks named after ``group_name``
+        (``bridge.corr.<name>`` / ``cpu.corr.<name>``), which derive from
+        the config seed alone, so every call builds the same core in the
+        same state: the ``characterize_windows`` bench kernel builds
+        each repetition's core this way.
         """
         schedule = WorkloadPhaseSchedule(
             self.result,
             self.registry,
             self.space,
             self._rngs.fork(f"bridge.corr.{group_name}"),
-            include_kernel=self.include_kernel,
             jit=self.jit,
         )
         core = self.core_model_cls(
@@ -291,12 +288,6 @@ class Characterization:
         core.warm_up(range(self.config.sampling.warmup_windows))
         return core
 
-    def group_hpm(self, group_name: str) -> HpmStat:
-        """An :class:`HpmStat` over a :meth:`group_core` for the group."""
-        return HpmStat(
-            self.group_core(group_name), self.config.sampling.window_interval_s
-        )
-
     # ------------------------------------------------------------------
     # The full study
     # ------------------------------------------------------------------
@@ -304,22 +295,15 @@ class Characterization:
         self,
         hw_windows: int = 120,
         correlation_windows_per_group: int = 40,
-        correlation_jobs: int = 1,
     ) -> CharacterizationReport:
         """Run the complete characterization.
 
         Args:
             hw_windows: windows for the aggregate hardware summary.
             correlation_windows_per_group: windows measured per counter
-                group for the Figure 10 study (0 disables it).
-            correlation_jobs: 1 (default) runs the classic campaign —
-                one shared core cycled through the counter groups,
-                exactly as hpmstat cycles groups on one machine.
-                N > 1 opts into the order-independent per-group
-                campaign (:func:`repro.core.correlation.run_group_campaign`),
-                whose report is byte-identical for any worker count
-                but is a different (statistically equivalent)
-                realization than the shared-core campaign.
+                group for the Figure 10 study (0 disables it): one
+                shared core cycled through the counter groups, exactly
+                as hpmstat cycles groups on one machine.
         """
         from repro.core.insights import derive_findings
 
@@ -342,22 +326,10 @@ class Characterization:
 
         correlations = None
         if correlation_windows_per_group:
-            if correlation_jobs > 1:
-                from repro.core.correlation import run_group_campaign
-
-                correlations = run_group_campaign(
-                    self.config,
-                    windows_per_group=correlation_windows_per_group,
-                    start_window=hw_windows,
-                    jobs=correlation_jobs,
-                    include_kernel=self.include_kernel,
-                )
-            else:
-                study = CpiCorrelationStudy(self.hpm)
-                correlations = study.run(
-                    windows_per_group=correlation_windows_per_group,
-                    start_window=hw_windows,
-                )
+            correlations = CpiCorrelationStudy(self.hpm).run(
+                windows_per_group=correlation_windows_per_group,
+                start_window=hw_windows,
+            )
 
         report = CharacterizationReport(
             config=self.config,

@@ -23,19 +23,14 @@ positively.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hpm.counters import CounterSnapshot
 from repro.hpm.events import BASE_EVENTS, Event
-from repro.hpm.groups import CounterGroup, default_catalog
+from repro.hpm.groups import CounterGroup
 from repro.hpm.hpmstat import HpmSample, HpmStat
 from repro.util.stats import pearson
-
-
-def _cpi(snapshot: CounterSnapshot) -> float:
-    return snapshot.cpi
 
 
 @dataclass(frozen=True)
@@ -86,9 +81,9 @@ def _fold_group(
     group: CounterGroup,
     samples: Sequence[HpmSample],
 ) -> None:
-    """Fold one group's samples into ``report`` (shared by both campaigns)."""
+    """Fold one group's samples into ``report``."""
     snapshots = [s.snapshot for s in samples]
-    cpis = [_cpi(s) for s in snapshots]
+    cpis = [s.cpi for s in snapshots]
     for event in group.events:
         if event in BASE_EVENTS:
             continue
@@ -137,8 +132,7 @@ class CpiCorrelationStudy:
     This is the single-machine campaign: every group samples the *same*
     executor, so group *k*'s windows run against hardware state warmed
     by groups ``0..k-1`` (exactly like cycling hpmstat through groups
-    during one long run).  It is inherently sequential; the
-    parallelizable campaign is :func:`run_group_campaign`.
+    during one long run).  It is inherently sequential.
     """
 
     def __init__(self, hpmstat: HpmStat):
@@ -146,125 +140,24 @@ class CpiCorrelationStudy:
 
     # ------------------------------------------------------------------
     def run(
-        self,
-        windows_per_group: int,
-        start_window: int = 0,
-        stride: int = 1,
+        self, windows_per_group: int, start_window: int = 0
     ) -> CpiCorrelationReport:
         """Measure every group over consecutive window segments.
 
-        Group *k* samples windows ``start + k*windows_per_group*stride``
-        onward — disjoint stretches of the same run, as a real campaign
-        would produce.
+        Group *k* samples windows ``start + k*windows_per_group`` onward
+        — disjoint stretches of the same run, as a real campaign would
+        produce.
         """
         if windows_per_group < 3:
             raise ValueError("need at least 3 windows per group")
         report = CpiCorrelationReport()
         for k, group in enumerate(self.hpmstat.catalog):
-            base = start_window + k * windows_per_group * stride
-            indices = [base + j * stride for j in range(windows_per_group)]
-            samples = self.hpmstat.sample_group(group.name, indices)
+            base = start_window + k * windows_per_group
+            samples = self.hpmstat.sample_group(
+                group.name, range(base, base + windows_per_group)
+            )
             _fold_group(report, group, samples)
         return report
-
-
-# ----------------------------------------------------------------------
-# The parallel per-group campaign
-# ----------------------------------------------------------------------
-#
-# Each counter group is measured as a fully independent task: its own
-# core model seeded from group-named RNG forks (stateless in the config
-# seed, so task order cannot matter) executing its own stretch of the
-# workload timeline.  That independence is what makes the campaign
-# legally parallel — fan the groups over a process pool and the merged
-# report is byte-identical to running them one after another.
-# Windows *within* a group stay sequential because cache and predictor
-# state persists across them.
-
-#: Per-process memo of Characterization studies, keyed by the config's
-#: content address.  A pool worker receives several group tasks for the
-#: same config; the workload simulation and code model are built once.
-_WORKER_STUDIES: Dict[str, object] = {}
-
-
-def _worker_study(config, include_kernel: bool):
-    from repro.core.characterization import Characterization
-    from repro.runcache import config_key
-
-    key = f"{config_key(config)}:{include_kernel}"
-    study = _WORKER_STUDIES.get(key)
-    if study is None:
-        study = Characterization(config, include_kernel=include_kernel)
-        _WORKER_STUDIES[key] = study
-    return study
-
-
-def _sample_group_task(task) -> List[HpmSample]:
-    """Sample one group's stretch of windows on its own core.
-
-    Top-level (picklable) so it can run in a pool worker; the serial
-    fallback calls it directly with the same task tuples.
-    """
-    config, include_kernel, group_name, windows_per_group, base, stride = task
-    study = _worker_study(config, include_kernel)
-    hpm = study.group_hpm(group_name)
-    indices = [base + j * stride for j in range(windows_per_group)]
-    return hpm.sample_group(group_name, indices)
-
-
-def run_group_campaign(
-    config,
-    windows_per_group: int,
-    start_window: int = 0,
-    stride: int = 1,
-    jobs: int = 1,
-    include_kernel: bool = False,
-) -> CpiCorrelationReport:
-    """Run the Figure 10 campaign with per-group cores, optionally parallel.
-
-    Args:
-        config: the :class:`~repro.config.ExperimentConfig` to measure.
-        windows_per_group: windows sampled per counter group.
-        start_window: first window of group 0's stretch; group *k*
-            starts ``k * windows_per_group * stride`` later.
-        stride: spacing between sampled windows.
-        jobs: worker processes; ``1`` (the default) runs serially
-            in-process.  Results are merged in catalog order either
-            way, so the report is byte-identical regardless of ``jobs``.
-        include_kernel: forwarded to the per-group characterizations.
-    """
-    if windows_per_group < 3:
-        raise ValueError("need at least 3 windows per group")
-    catalog = default_catalog()
-    groups = list(catalog)
-    tasks = [
-        (
-            config,
-            include_kernel,
-            group.name,
-            windows_per_group,
-            start_window + k * windows_per_group * stride,
-            stride,
-        )
-        for k, group in enumerate(groups)
-    ]
-    results: Optional[List[List[HpmSample]]] = None
-    if jobs > 1 and len(tasks) > 1:
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
-        except (ImportError, NotImplementedError, OSError):
-            # No usable multiprocessing primitives (some sandboxes):
-            # the campaign still completes, just serially.
-            pool = None
-        if pool is not None:
-            with pool:
-                results = list(pool.map(_sample_group_task, tasks))
-    if results is None:
-        results = [_sample_group_task(task) for task in tasks]
-    report = CpiCorrelationReport()
-    for group, samples in zip(groups, results):
-        _fold_group(report, group, samples)
-    return report
 
 
 @dataclass(frozen=True)
@@ -300,20 +193,4 @@ def correlate_against(
             )
         out.append(SeriesCorrelation(name=name, r=pearson(series, target), n_samples=n))
     out.sort(key=lambda c: (-c.r, c.name))
-    return out
-
-
-def correlation_matrix(
-    columns: Dict[str, Sequence[float]]
-) -> Dict[Tuple[str, str], float]:
-    """All-pairs Pearson correlations of named, equal-length series.
-
-    General-purpose helper for users with full (non-group-limited)
-    data, e.g. from :meth:`repro.hpm.hpmstat.HpmStat.sample_all`.
-    """
-    names = sorted(columns)
-    out: Dict[Tuple[str, str], float] = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            out[(a, b)] = pearson(columns[a], columns[b])
     return out

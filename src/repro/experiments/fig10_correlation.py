@@ -28,11 +28,7 @@ from typing import List, Optional
 
 from repro.config import ExperimentConfig
 from repro.core.characterization import Characterization
-from repro.core.correlation import (
-    CpiCorrelationReport,
-    CpiCorrelationStudy,
-    run_group_campaign,
-)
+from repro.core.correlation import CpiCorrelationReport, CpiCorrelationStudy
 from repro.experiments.common import Row, bench_config, fmt, header
 from repro.hpm.events import Event
 
@@ -116,29 +112,13 @@ class Figure10Result:
 
 
 def run(
-    config: Optional[ExperimentConfig] = None,
-    windows_per_group: int = 110,
-    jobs: int = 1,
+    config: Optional[ExperimentConfig] = None, windows_per_group: int = 110
 ) -> Figure10Result:
-    """Run the Figure 10 campaign.
-
-    The default (``jobs=1``) is the classic campaign: one shared core
-    cycled through the counter groups, exactly as hpmstat cycles groups
-    on one machine during a long run.  ``jobs > 1`` opts into the
-    order-independent per-group campaign — every group measured on its
-    own independently seeded core — whose report is byte-identical for
-    any worker count but is a different (statistically equivalent)
-    realization than the shared-core campaign.
-    """
+    """Run the Figure 10 campaign: one shared core cycled through the
+    counter groups, exactly as hpmstat cycles groups on one machine
+    during a long run."""
     config = config if config is not None else bench_config()
-    if jobs > 1:
-        report = run_group_campaign(
-            config, windows_per_group=windows_per_group, jobs=jobs
-        )
-    else:
-        study = Characterization(config)
-        study.ensure_warm()
-        report = CpiCorrelationStudy(study.hpm).run(
-            windows_per_group=windows_per_group
-        )
+    study = Characterization(config)
+    study.ensure_warm()
+    report = CpiCorrelationStudy(study.hpm).run(windows_per_group=windows_per_group)
     return Figure10Result(config=config, report=report)

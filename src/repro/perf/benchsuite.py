@@ -25,9 +25,9 @@ how noisy the repetitions were.
 
 The host's own speed also drifts, in phases of seconds to minutes, so
 two honest back-to-back records of identical work can read well over
-1.3x apart.  Each repetition is therefore paired with one round of a
-fixed reference work (``rounds_s``), which lets the gate compare
-kernels in units of host speed (:func:`repro.perf.gate.compare_records`).
+1.3x apart.  Each repetition is therefore paired with rounds of a fixed
+reference work (``rounds_s``), which lets the gate compare kernels in
+units of host speed (:func:`repro.perf.gate.compare_records`).
 """
 
 from __future__ import annotations
@@ -93,8 +93,9 @@ def best_of(
 
     ``setup`` runs outside the timed region each repetition, so
     stateful kernels (caches, core models) start identical every time
-    and the repetitions measure the same work.  One reference round is
-    timed right before each repetition (``rounds_s``, same order).
+    and the repetitions measure the same work.  A reference round is
+    timed on each side of each repetition and the faster one recorded
+    (``rounds_s``, same order): a set-up or a hiccup slows one alone.
     """
     if reps < 1:
         raise ValueError("need at least one repetition")
@@ -103,10 +104,11 @@ def best_of(
     rounds: List[float] = []
     for _ in range(reps):
         state = setup()
-        rounds.append(work.round())
+        before = work.round()
         t0 = time.perf_counter()
         body(state)
         times.append(time.perf_counter() - t0)
+        rounds.append(min(before, work.round()))
     return {
         "reps_s": [round(t, 6) for t in times],
         "rounds_s": [round(r, 7) for r in rounds],
@@ -161,11 +163,12 @@ def _characterize_builder(duration_s: float, windows: int):
 
     The study and its SUT run are built once, by the first (untimed)
     setup, with a run cache of this kernel's own; every setup takes a
-    fresh :meth:`~Characterization.group_core`, whose RNG forks derive
-    from the seed alone, so each repetition executes the same windows
-    from the same state.  A run shorter than 300 s opens its steady
-    window before the JIT has compiled every hot method, so part of the
-    ``was_jited`` share runs as the interpreter profile.
+    fresh :meth:`~Characterization.group_core`, built like the study's
+    shared core from RNG forks that derive from the seed alone, so each
+    repetition executes the same windows from the same state.  A run
+    shorter than 300 s opens its steady window before the JIT has
+    compiled every hot method, so part of the ``was_jited`` share runs
+    as the interpreter profile.
     """
     import dataclasses
 

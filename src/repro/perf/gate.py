@@ -11,17 +11,17 @@ matters — instead of eyeballing one number:
   repetition samples (:func:`repro.util.stats.mann_whitney_u`): is the
   new sample stochastically slower than the baseline sample?
 
-Both read host-speed-rescaled repetitions when the two records carry
-reference rounds (see :func:`host_scales`), so that a host
-that drifted slower between the records is not read as a slower
-kernel.  A kernel fails only when the slowdown is *both* large (ratio
-at or beyond ``fail_ratio``) and significant (p below ``alpha``); smaller
-but significant slowdowns warn.  That is the "warn on small deltas,
-fail on significant ones" CI policy — the 1.86x-9.41x kernel wins
-recorded in BENCH_core_model.json keep a guard without the gate
-tripping on scheduler noise.  Comparisons across different host
-fingerprints are never failed, only warned: two machines' wall-clock
-is not one distribution.
+When both records carry reference rounds, the milder of the raw and
+the host-speed-rescaled reading (:func:`host_scales`) stands: neither a
+host nor a reference work that slowed between the records is read as a
+slower kernel.  A kernel fails only when the slowdown is *both* large
+(ratio at or beyond ``fail_ratio``) and significant (p below ``alpha``)
+in both readings; smaller but significant slowdowns warn.  That is the
+"warn on small deltas, fail on significant ones" CI policy — the
+1.86x-9.41x kernel wins recorded in BENCH_core_model.json keep a guard
+without the gate tripping on scheduler noise.  Comparisons across
+different host fingerprints are never failed, only warned: two
+machines' wall-clock is not one distribution.
 """
 
 from __future__ import annotations
@@ -171,6 +171,19 @@ def host_scales(
     return scale(base), scale(new)
 
 
+def _reading(base, new, base_scale: float, new_scale: float):
+    """(best-time ratio, Mann-Whitney p or None, best times), scaled."""
+    base_best = float(base["best_s"]) * base_scale
+    new_best = float(new["best_s"]) * new_scale
+    base_reps = [float(t) * base_scale for t in base.get("reps_s", ())]
+    new_reps = [float(t) * new_scale for t in new.get("reps_s", ())]
+    p = None
+    if len(base_reps) >= 2 and len(new_reps) >= 2:
+        p = mann_whitney_u(base_reps, new_reps).p_greater
+    ratio = new_best / base_best if base_best > 0 else float("inf")
+    return ratio, p, base_best, new_best
+
+
 def compare_records(
     baseline: Dict[str, object],
     latest: Dict[str, object],
@@ -209,23 +222,17 @@ def compare_records(
                 )
             )
             continue
+        # The milder of the raw and the host-speed reading stands.
         scales = host_scales(base, new)
-        base_scale, new_scale = scales or (1.0, 1.0)
-        base_best = float(base["best_s"]) * base_scale
-        new_best = float(new["best_s"]) * new_scale
-        ratio = new_best / base_best if base_best > 0 else float("inf")
-        base_reps = [float(t) * base_scale for t in base.get("reps_s", ())]
-        new_reps = [float(t) * new_scale for t in new.get("reps_s", ())]
-        base_reps = base_reps or [base_best]
-        new_reps = new_reps or [new_best]
-        if len(base_reps) >= 2 and len(new_reps) >= 2:
-            p = mann_whitney_u(base_reps, new_reps).p_greater
-            significant = p < alpha
-        else:
-            # Single-shot record (no repetitions): magnitude only, and
-            # without a distribution it can never *fail* the gate.
-            p = None
-            significant = False
+        readings = [_reading(base, new, 1.0, 1.0)]
+        if scales is not None:
+            readings.append(_reading(base, new, *scales))
+        ratio, p, base_best, new_best = min(readings, key=lambda r: r[0])
+        # A single-shot record (no repetitions) has no p: magnitude
+        # only, and without a distribution it can never *fail* the gate.
+        if p is not None:
+            p = max(reading[1] for reading in readings)
+        significant = p is not None and p < alpha
         verdict = OK
         note = ""
         if ratio >= fail_ratio and significant:

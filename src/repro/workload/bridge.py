@@ -2,18 +2,16 @@
 
 :class:`WorkloadPhaseSchedule` turns a finished workload run into the
 :class:`~repro.cpu.core_model.PhaseSchedule` the CPU model samples: each
-hpmstat window maps onto one (or a stride of) timeline tick(s), and the
-tick's accounting becomes the window's phase composition:
+hpmstat window maps onto one timeline tick, and the tick's accounting
+becomes the window's phase composition:
 
 * software-component CPU shares become mutator profile slices, with
   per-window :class:`~repro.jvm.runtime.MutatorIntensity` blended from
   the transaction types actually running in that tick;
 * GC CPU time becomes mark/sweep slices (>80% mark, like the measured
   pauses);
-* kernel time is *excluded by default* because the paper's HPM data
-  "correspond to user-level processes only"; pass
-  ``include_kernel=True`` for the privileged-code experiments
-  (Section 4.2.4's ~7% SYNC-in-SRQ figure);
+* kernel time is excluded because the paper's HPM data "correspond
+  to user-level processes only";
 * idle time is likewise excluded — an idle CPU runs no user process.
   Fully idle ticks fall back to the idle-loop profile, which is how
   the "idle system CPI ~0.7" observation is measured.
@@ -53,15 +51,11 @@ class WorkloadPhaseSchedule:
         registry: MethodRegistry,
         space: AddressSpace,
         rng_factory: RngFactory,
-        start_time_s: Optional[float] = None,
-        stride_ticks: int = 1,
-        include_kernel: bool = False,
         jit=None,
     ):
         self.result = result
         self.registry = registry
         self.space = space
-        self.include_kernel = include_kernel
         #: Optional JIT timeline: when provided, the not-yet-compiled
         #: share of the would-be-JITed execution runs the interpreter
         #: profile instead (the early-run dynamic behind the paper's
@@ -71,17 +65,14 @@ class WorkloadPhaseSchedule:
         build_rng = rng_factory.stream("bridge.pools")
         self._gc_mark = gc_mark_profile(build_rng, space)
         self._gc_sweep = gc_sweep_profile(build_rng, space)
-        self._kernel = kernel_profile(build_rng, space)
+        # Kernel time is never sampled, but its profile's draws stay:
+        # the idle and interpreter profiles come after them.
+        kernel_profile(build_rng, space)
         self._idle = idle_profile(build_rng, space)
         self._interpreter = interpreter_profile(build_rng, space)
 
-        timeline = result.timeline
-        if start_time_s is None:
-            start_time_s, _ = result.steady_window()
-        self._start_tick = int(round(start_time_s / timeline.tick_s))
-        if stride_ticks < 1:
-            raise ValueError("stride must be >= 1")
-        self._stride = stride_ticks
+        start_time_s, _ = result.steady_window()
+        self._start_tick = int(round(start_time_s / result.timeline.tick_s))
         self._specs = result.config.workload.transactions
         self._intensities = [
             MutatorIntensity(
@@ -97,7 +88,7 @@ class WorkloadPhaseSchedule:
     # ------------------------------------------------------------------
     def window_for_tick(self, tick: int) -> int:
         """The window index that maps onto timeline tick ``tick``."""
-        return (tick - self._start_tick) // self._stride
+        return tick - self._start_tick
 
     def gc_window_indices(self, max_events: Optional[int] = None) -> list:
         """Window indices landing inside steady-state GC pauses.
@@ -125,7 +116,7 @@ class WorkloadPhaseSchedule:
         return indices
 
     def tick_for_window(self, window_index: int) -> int:
-        tick = self._start_tick + window_index * self._stride
+        tick = self._start_tick + window_index
         n = len(self.result.timeline)
         if tick >= n:
             # Wrap within the steady region rather than fall off the run.
@@ -181,10 +172,6 @@ class WorkloadPhaseSchedule:
                     weights.append((self._interpreter, interp_ms))
             else:
                 weights.append((profiles[name], ms))
-        if self.include_kernel:
-            kernel_ms = by_component[self._component_index["kernel"]]
-            if kernel_ms > 0:
-                weights.append((self._kernel, kernel_ms))
         if gc_ms > 0:
             weights.append((self._gc_mark, gc_ms * GC_MARK_SHARE))
             weights.append((self._gc_sweep, gc_ms * (1.0 - GC_MARK_SHARE)))

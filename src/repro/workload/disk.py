@@ -12,7 +12,7 @@ service time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, List, Tuple
 
 from repro.config import DiskConfig
 from repro.workload.transactions import Request
@@ -84,6 +84,11 @@ class DiskModel:
     @property
     def queue_length(self) -> int:
         return len(self._queue)
+
+    @property
+    def queued(self) -> Tuple[Request, ...]:
+        """The requests waiting on or in I/O service, oldest first."""
+        return tuple(self._queue)
 
     def utilization(self, n_ticks: int) -> float:
         """Fraction of total disk capacity consumed over ``n_ticks``."""

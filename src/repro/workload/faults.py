@@ -175,6 +175,9 @@ class ResilienceStats:
     retries_denied: int
     #: Tick indices during which the server was down.
     down_ticks: Tuple[int, ...] = ()
+    #: Operations still open when the run ended: held by the server and
+    #: not given up by their client, or waiting to be retried.
+    open_ops: int = 0
 
     @property
     def total_offered(self) -> int:
@@ -209,6 +212,7 @@ class ResilienceTracker:
         self.zombie_completions = 0
         self.retries_denied = 0
         self.down_ticks: List[int] = []
+        self.open_ops = 0
 
     def freeze(self) -> ResilienceStats:
         return ResilienceStats(
@@ -220,4 +224,5 @@ class ResilienceTracker:
             zombie_completions=self.zombie_completions,
             retries_denied=self.retries_denied,
             down_ticks=tuple(self.down_ticks),
+            open_ops=self.open_ops,
         )

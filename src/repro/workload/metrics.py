@@ -176,7 +176,10 @@ class ResilienceReport:
     goodput: float
     #: Seconds the server was down.
     downtime_s: float
-    #: successful / offered over the whole run.
+    #: Operations still open when the run ended: censored, they count
+    #: neither as served nor as lost.
+    open_ops: int
+    #: successful / (offered - open) over the whole run.
     availability: float
 
     def summary_lines(self) -> List[str]:
@@ -233,7 +236,8 @@ def evaluate_resilience(result: RunResult) -> ResilienceReport:
         zombie_completions=stats.zombie_completions,
         goodput=steady_ok / steady_s,
         downtime_s=len(stats.down_ticks) * result.config.workload.tick_s,
-        availability=successful / max(1, offered),
+        open_ops=stats.open_ops,
+        availability=successful / max(1, offered - stats.open_ops),
     )
 
 

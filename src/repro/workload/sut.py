@@ -438,6 +438,12 @@ class SystemUnderTest:
                 queue_gauge.set(appserver.in_flight)
 
         tracker.retries_denied = driver.retries_denied
+        # Operations the run's end leaves open: held by the server and
+        # not given up by their client, or waiting to be retried.
+        held = (*appserver.running, *appserver.accept_queue, *disk.queued)
+        tracker.open_ops = driver.retries_pending + sum(
+            not request.abandoned for request in held
+        )
         result = RunResult(
             config=self.config,
             timeline=timeline,

@@ -52,8 +52,8 @@ class TestHardwareSummary:
 class TestCoreModelSeam:
     def test_rebound_class_builds_every_core(self):
         # The benchmarks reach the oracle by rebinding core_model_cls
-        # on a subclass; both the shared core and the per-group cores
-        # must honour it.  A tiny config keeps this well under 1 s.
+        # on a subclass; both the shared core and group_core must
+        # honour it.  A tiny config keeps this well under 1 s.
         cfg = jas2004(duration_s=30.0, seed=2007)
         cfg = dataclasses.replace(
             cfg,

@@ -47,6 +47,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv", [["characterize", "--jobs", "2"], ["figure", "10", "--jobs", "2"]]
+    )
+    def test_jobs_only_on_reproduce_all(self, argv, capsys):
+        # One Figure 10 campaign: the shared core.  Only the sweep
+        # takes --jobs.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_reproduce_all_flags(self):
         parser = build_parser()
         args = parser.parse_args(

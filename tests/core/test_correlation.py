@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.correlation import CpiCorrelationStudy, correlation_matrix
+from repro.core.correlation import CpiCorrelationStudy
 from repro.hpm.counters import CounterBank
 from repro.hpm.events import Event
 from repro.hpm.hpmstat import HpmStat
@@ -102,12 +102,3 @@ class TestCpiCorrelationStudy:
         assert report.r_speculation_vs_l1_miss is not None
         assert report.r_branches_vs_target_miss is not None
         assert report.r_cond_miss_vs_branches is not None
-
-
-class TestCorrelationMatrix:
-    def test_all_pairs(self):
-        cols = {"a": [1.0, 2.0, 3.0], "b": [2.0, 4.0, 6.0], "c": [3.0, 2.0, 1.0]}
-        matrix = correlation_matrix(cols)
-        assert matrix[("a", "b")] == pytest.approx(1.0)
-        assert matrix[("a", "c")] == pytest.approx(-1.0)
-        assert len(matrix) == 3

@@ -307,7 +307,7 @@ class TestSelfHealing:
         body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         entry = tmp_path / f"{key}.pkl"
         digest = hashlib.sha256(body).hexdigest().encode("ascii")
-        entry.write_bytes(b"repro-runcache/2\n" + digest + b"\n" + body)
+        entry.write_bytes(b"repro-runcache/3\n" + digest + b"\n" + body)
         unpickled = []
         real_loads = pickle.loads
         monkeypatch.setattr(

@@ -166,3 +166,30 @@ class TestParallelSweep:
     def test_rows_accounting_matches(self, serial, parallel):
         assert parallel.rows_total == serial.rows_total
         assert parallel.rows_off == serial.rows_off
+
+
+#: The seven SUT-heavy experiments the end-to-end benchmark's two sweep
+#: workloads run (``SWEEP_MODULES`` in ``e2ebench/call.py``, copied
+#: rather than imported so the suite does not depend on the harness).
+SWEEP_MODULES = [
+    "fig02_throughput",
+    "fig03_gc",
+    "tab_utilization",
+    "tab_baselines",
+    "exp_tuning",
+    "exp_heap_sweep",
+    "exp_resilience",
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 3, 104])
+def test_sweep_rows_hold_at_other_seeds(seed):
+    """The benchmark sweep's rows hold beyond seed 2007.
+
+    At these seeds the fault-free run ends with an operation still in
+    flight, which availability must count neither as served nor lost.
+    """
+    result = run(make_quick_config(seed), only=SWEEP_MODULES)
+    assert result.rows_total == 39
+    assert result.rows_off == []

@@ -82,20 +82,6 @@ class TestWorkloadPhaseSchedule:
             names = {p.name for p, _ in descriptor.slices}
             assert "kernel" not in names
 
-    def test_kernel_included_when_requested(
-        self, quick_run, quick_registry, quick_space
-    ):
-        schedule = WorkloadPhaseSchedule(
-            quick_run, quick_registry, quick_space, RngFactory(3),
-            include_kernel=True,
-        )
-        names = {
-            p.name
-            for idx in range(10)
-            for p, _ in schedule.descriptor_for(idx).slices
-        }
-        assert "kernel" in names
-
     def test_gc_windows_found_and_flagged(self, schedule):
         gc_indices = schedule.gc_window_indices(max_events=3)
         assert gc_indices

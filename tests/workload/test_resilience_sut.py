@@ -10,6 +10,9 @@ from repro.config import (
     FaultEvent,
     RetryPolicy,
 )
+from repro.experiments.common import quick_config
+from repro.experiments.exp_resilience import OVERLOAD
+from repro.workload.metrics import evaluate_resilience
 from repro.workload.presets import jas2004
 from repro.workload.sut import SystemUnderTest
 
@@ -198,3 +201,42 @@ class TestBrownout:
                 assert stats.shed[type_index] == 0
             else:
                 assert stats.shed[type_index] > 0
+
+
+class TestOpenAtEnd:
+    """An operation still open when the run ends is censored: it counts
+    neither as served nor as lost."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 104])
+    def test_fault_free_quick_run_loses_nothing(self, seed):
+        # At these seeds an operation is still in the app server at the
+        # last tick.
+        report = evaluate_resilience(SystemUnderTest(quick_config(seed)).run())
+        assert report.open_ops > 0
+        assert report.failed_ops == 0
+        assert report.availability == 1.0
+
+    def test_refusals_still_count_as_losses(self):
+        config = quick_config()
+        workload = dataclasses.replace(
+            config.workload,
+            injection_rate=int(round(config.workload.injection_rate * OVERLOAD)),
+        )
+        result = SystemUnderTest(dataclasses.replace(config, workload=workload)).run()
+        report = evaluate_resilience(result)
+        assert sum(result.rejected) > 0
+        assert report.open_ops > 0
+        assert report.availability < 1.0
+
+    def test_every_operation_is_served_lost_or_open(self):
+        # With faults active every lost operation is counted as failed,
+        # so the three outcomes add up to the operations offered.
+        result = SystemUnderTest(
+            small_config(events=TestCrash.CRASH, retry=GENEROUS_RETRY)
+        ).run()
+        stats = result.resilience
+        assert stats.total_retries > 0 and stats.total_failed > 0
+        assert (
+            successes(result) + stats.total_failed + stats.open_ops
+            == stats.total_offered
+        )

@@ -102,17 +102,19 @@ CASES = {
 
 #: SHA-256 of each case's run, captured before the tick loop was fused;
 #: ``no-db-queries`` and ``query-heavy`` were captured before admission,
-#: completion and the disk handoff were fused into the loop.
+#: completion and the disk handoff were fused into the loop.  Re-pinned
+#: when the resilience stats gained ``open_ops``: with that field left
+#: out of their ``repr``, every case hashes to its earlier digest.
 GOLDEN = {
-    "fault-free": "6af442d344e35ad3b491ec33a186a4c1da3e0795c5200915ba0644ea04a2263b",
-    "crash-retry": "50766f8275fcab8514eff3f4f687562c1efd176dded032249b9248fde64ca907",
-    "overload-brownout": "dc4271bae6db56466cb1e4f16eb00f26715f12b4667d45adfbebeaffa57cd48c",
-    "db-slowdown": "28fe5cc12fdb7b8f7a21800c3a34594aa978cf1d65e48225e2a104a3a06fc812",
-    "disk-degraded": "f8c2ca3be8bd8ed3d38f32deaaeb216f3d9582c8b5e7c21dc2ac9cf039dfac22",
-    "gc-pressure": "cb019373a25c6a33427db91dc6b30ff1255d6a1a8fc8a3b7af1dd917de309777",
-    "two-threads-heavy-io": "7a33b08915a927cd03fa6c844e2bd116c7b3f3bd62f032257756624a71dcd2fa",
-    "no-db-queries": "dcdd5e8941daa54592ee76572322bb95fdd8b1fcb1b5cf06ff1ab68a074abaa0",
-    "query-heavy": "4d77b868f5550c5ea2912af516fd676a725d1fc671f526cebbf0dcaec0a7ebc4",
+    "fault-free": "e9d225ff65aae0cb733d9a243c71a51dd8767378b4c18114139bba5e139cc3f1",
+    "crash-retry": "b750defd633ea0b7a42b6bac6d7b550bed560f7f648fded191bc091134d998a3",
+    "overload-brownout": "97ee5ef44a421210b63c0682e5bac017127550239e188895249634c3f517addb",
+    "db-slowdown": "90869e9da8428ee6d4c45c475564922e788464612cd4cc995642c1d97a533234",
+    "disk-degraded": "9ef257e6f3b69ba83bd648600f35e042aaf0efe20e43eddfd94464f52e9b2e91",
+    "gc-pressure": "de0d496e991c6176f44c3ee501fab1d72c22fce110ef65ef3f2488f0d910509b",
+    "two-threads-heavy-io": "97b9559a7dcb108612f3536c687ed547f89629c3690743efac8763d9e427ccd7",
+    "no-db-queries": "ed9ab4386fe506465b3d9a39f232776fb5460bd97a5c7c1e944137b4139d23c8",
+    "query-heavy": "ae098c4ecbd0e298042795b5790c22533b92bdd50c429b0e9d1e01e197268ce5",
 }
 
 
